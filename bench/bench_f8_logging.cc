@@ -37,7 +37,6 @@ int main(int argc, char** argv) {
       eng.num_partitions = warehouses;
       eng.logging = kind;
       eng.log_sync = sync;
-      eng.log_flush_interval_us = 50;
       eng.sync_commit = true;
       char dir[128];
       std::snprintf(dir, sizeof(dir), "/tmp/next700_f8_%s_%s.logd",

@@ -17,7 +17,9 @@
 ///
 /// Every point carries syscalls_per_txn, log_writes_per_txn and
 /// frames_per_writev so regressions in batching are visible in the JSON,
-/// not just in throughput.
+/// not just in throughput, plus the group-commit layer itself:
+/// txns_per_flush (mean write txns per log flush) and commit_wait_us_p50
+/// (median age of a flush's oldest byte when it became durable).
 
 #include <sys/resource.h>
 
@@ -95,9 +97,16 @@ bool RunPoint(JsonOutput* json, const char* axis, server::Server* srv,
   // threads instead of one OS thread each.
   load.threads = connections > 8 ? 8 : 0;
 
+  LogManager* log = engine->log_manager();
+  if (log != nullptr) (void)log->TakeFlushStats();  // Start the interval.
   const IoSnapshot before = Snap(*srv, *engine);
   const server::LoadGenStats stats = server::RunLoadGen(load);
   const IoSnapshot after = Snap(*srv, *engine);
+  const LogManager::FlushStats flushes =
+      log != nullptr ? log->TakeFlushStats() : LogManager::FlushStats{};
+  const double txns_per_flush = flushes.batch_records.Mean();
+  const double commit_wait_us_p50 =
+      static_cast<double>(flushes.oldest_wait_ns.Percentile(0.50)) / 1e3;
 
   const double txns = stats.ok > 0 ? static_cast<double>(stats.ok) : 1.0;
   const double syscalls_per_txn =
@@ -118,14 +127,15 @@ bool RunPoint(JsonOutput* json, const char* axis, server::Server* srv,
       static_cast<double>(stats.latency_ns.Percentile(0.99)) / 1e3;
 
   std::printf(
-      "%s,%s,%d,%d,%d,%s,%.0f,%llu,%llu,%llu,%.0f,%.0f,%.0f,%.2f,%.3f,%.1f\n",
+      "%s,%s,%d,%d,%d,%s,%.0f,%llu,%llu,%llu,%.0f,%.0f,%.0f,%.2f,%.3f,%.1f,"
+      "%.2f,%.1f\n",
       axis, CcSchemeName(comp.scheme), workers, connections, pipeline,
       srv->io_backend_name(), stats.Throughput(),
       static_cast<unsigned long long>(stats.ok),
       static_cast<unsigned long long>(stats.aborted),
       static_cast<unsigned long long>(stats.resource_exhausted), p50_us,
       p95_us, p99_us, syscalls_per_txn, log_writes_per_txn,
-      frames_per_writev);
+      frames_per_writev, txns_per_flush, commit_wait_us_p50);
   std::fflush(stdout);
   json->AddPoint(
       {{"axis", JsonOutput::Str(axis)},
@@ -150,7 +160,9 @@ bool RunPoint(JsonOutput* json, const char* axis, server::Server* srv,
        {"p99_us", JsonOutput::Num(p99_us)},
        {"syscalls_per_txn", JsonOutput::Num(syscalls_per_txn)},
        {"log_writes_per_txn", JsonOutput::Num(log_writes_per_txn)},
-       {"frames_per_writev", JsonOutput::Num(frames_per_writev)}});
+       {"frames_per_writev", JsonOutput::Num(frames_per_writev)},
+       {"txns_per_flush", JsonOutput::Num(txns_per_flush)},
+       {"commit_wait_us_p50", JsonOutput::Num(commit_wait_us_p50)}});
   if (stats.transport_errors != 0) {
     std::fprintf(stderr, "transport errors: %llu\n",
                  static_cast<unsigned long long>(stats.transport_errors));
@@ -206,7 +218,8 @@ int main(int argc, char** argv) {
               "depth x workers x composition x io backend x connections",
               "axis,scheme,workers,connections,pipeline,io_backend,"
               "throughput_txn_s,ok,aborted,rejected,p50_us,p95_us,p99_us,"
-              "syscalls_per_txn,log_writes_per_txn,frames_per_writev");
+              "syscalls_per_txn,log_writes_per_txn,frames_per_writev,"
+              "txns_per_flush,commit_wait_us_p50");
 
   const uint64_t records = QuickMode() ? 20000 : 100000;
   const double seconds = QuickMode() ? 0.3 : 2.0;

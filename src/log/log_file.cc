@@ -21,6 +21,12 @@ namespace {
 /// bounded number of times before declaring it broken instead of spinning.
 constexpr int kMaxEagainRetries = 1000;
 
+std::string ParentDir(const std::string& path) {
+  const std::string::size_type slash = path.find_last_of('/');
+  if (slash == std::string::npos) return ".";
+  return slash == 0 ? "/" : path.substr(0, slash);
+}
+
 }  // namespace
 
 PosixLogFile::~PosixLogFile() { Close(); }
@@ -192,12 +198,7 @@ Status EnsureLogDir(const std::string& dir) {
     // The new directory's entry lives in its *parent*: without this
     // barrier a power loss can forget the whole log directory even though
     // every segment inside it was fdatasync'd.
-    const std::string::size_type slash = dir.find_last_of('/');
-    const std::string parent = slash == std::string::npos
-                                   ? std::string(".")
-                                   : (slash == 0 ? std::string("/")
-                                                 : dir.substr(0, slash));
-    return SyncDir(parent);
+    return SyncDir(ParentDir(dir));
   }
   if (errno == EEXIST) return Status::OK();
   return Status::IOError("cannot create log dir " + dir + ": " +
@@ -219,54 +220,50 @@ Status SyncDir(const std::string& dir) {
   return s;
 }
 
-Status ScanValidFramePrefix(const std::string& path, uint64_t* valid_bytes) {
-  *valid_bytes = 0;
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::IOError("cannot open " + path);
-  std::vector<uint8_t> data;
-  if (std::fseek(f, 0, SEEK_END) != 0) {
-    std::fclose(f);
-    return Status::IOError("cannot seek " + path);
-  }
-  const long size = std::ftell(f);
-  if (size < 0 || std::fseek(f, 0, SEEK_SET) != 0) {
-    std::fclose(f);
-    return Status::IOError("cannot tell size of " + path);
-  }
-  data.resize(static_cast<size_t>(size));
-  if (size > 0 && std::fread(data.data(), 1, data.size(), f) != data.size()) {
-    std::fclose(f);
-    return Status::IOError("short read on " + path);
-  }
-  std::fclose(f);
-
-  // Same framing discipline as RecoveryManager::ReplaySegment: a torn
-  // write leaves a prefix, so only an *incomplete* header, or an
-  // incomplete body under a checksum-valid header, is a legal crash tail.
+Status WalkLogFrames(const uint8_t* data, size_t len,
+                     const std::string& origin, bool allow_torn_tail,
+                     const LogFrameVisitor& visit) {
   size_t pos = 0;
-  while (pos < data.size()) {
-    if (pos + kFrameHeaderBytes > data.size()) break;  // Torn header.
+  while (pos + kFrameHeaderBytes <= len) {
+    // Frame: u32 len, u8 type, u32 header_sum, body, u64 body_sum.
     uint32_t body_len;
-    std::memcpy(&body_len, data.data() + pos, 4);
+    std::memcpy(&body_len, data + pos, 4);
     const uint8_t type_raw = data[pos + 4];
     uint32_t header_sum;
-    std::memcpy(&header_sum, data.data() + pos + 5, 4);
+    std::memcpy(&header_sum, data + pos + 5, 4);
     if (header_sum != FrameHeaderSum(body_len, type_raw)) {
-      return Status::Corruption("log frame header corrupt in " + path);
+      // Without this a flipped length byte would read as a torn tail and
+      // silently drop every acked txn behind it.
+      return Status::Corruption("log frame header corrupt in " + origin);
     }
     const size_t frame_end = pos + kFrameOverheadBytes + body_len;
-    if (frame_end > data.size()) break;  // Torn body (header vouches len).
+    if (frame_end > len) break;  // Torn body (the header vouches for len).
+    const uint8_t* body = data + pos + kFrameHeaderBytes;
     uint64_t checksum;
-    std::memcpy(&checksum, data.data() + pos + kFrameHeaderBytes + body_len,
-                8);
-    if (checksum !=
-        FnvHashBytes(data.data() + pos + kFrameHeaderBytes, body_len)) {
-      return Status::Corruption("log checksum mismatch in " + path);
+    std::memcpy(&checksum, body + body_len, 8);
+    if (checksum != FnvHashBytes(body, body_len)) {
+      return Status::Corruption("log checksum mismatch in " + origin);
     }
+    NEXT700_RETURN_IF_ERROR(visit(static_cast<LogRecordType>(type_raw), body,
+                                  body_len, frame_end));
     pos = frame_end;
   }
-  *valid_bytes = pos;
+  if (pos < len && !allow_torn_tail) {
+    return Status::Corruption("torn frame in " + origin);
+  }
   return Status::OK();
+}
+
+Status ScanValidFramePrefix(const std::string& path, uint64_t* valid_bytes) {
+  *valid_bytes = 0;
+  std::vector<uint8_t> data;
+  NEXT700_RETURN_IF_ERROR(ReadFileFully(path, &data));
+  return WalkLogFrames(
+      data.data(), data.size(), path, /*allow_torn_tail=*/true,
+      [valid_bytes](LogRecordType, const uint8_t*, uint32_t, size_t end) {
+        *valid_bytes = end;
+        return Status::OK();
+      });
 }
 
 Status TruncateLogSegment(const std::string& path, uint64_t valid_bytes) {
@@ -413,12 +410,7 @@ Status WriteFileAtomic(const std::string& path, const uint8_t* data,
     return rs;
   }
   // The rename's durability lives in the directory entry.
-  const std::string::size_type slash = path.find_last_of('/');
-  const std::string parent =
-      slash == std::string::npos
-          ? std::string(".")
-          : (slash == 0 ? std::string("/") : path.substr(0, slash));
-  return SyncDir(parent);
+  return SyncDir(ParentDir(path));
 }
 
 }  // namespace next700

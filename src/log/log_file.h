@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "log/log_record.h"
 
 namespace next700 {
 
@@ -158,12 +159,26 @@ Status EnsureLogDir(const std::string& dir);
 /// segment fd does not cover the directory entry that names it.
 Status SyncDir(const std::string& dir);
 
+/// Called per complete, checksum-valid frame with its type, its body and
+/// the offset just past it.
+using LogFrameVisitor = std::function<Status(
+    LogRecordType type, const uint8_t* body, uint32_t body_len,
+    size_t frame_end)>;
+
+/// The one frame-validation walk (replay, the decision-log scan and Open's
+/// torn-tail cut) over `data[0, len)`; `origin` labels errors. A torn
+/// write leaves a *prefix*, so only an incomplete header, or an incomplete
+/// body under a checksum-valid header, is a crash tail: the walk stops
+/// there, and fails with kCorruption unless `allow_torn_tail`. A
+/// *complete* header or frame whose checksum disagrees was flushed that
+/// way and is always kCorruption.
+Status WalkLogFrames(const uint8_t* data, size_t len,
+                     const std::string& origin, bool allow_torn_tail,
+                     const LogFrameVisitor& visit);
+
 /// Scans `path` for the longest prefix of fully valid frames and returns
-/// its length in `*valid_bytes`. An incomplete header, or an incomplete
-/// body under a checksum-valid header, ends the scan (a legal torn tail);
-/// a *complete* header or frame whose checksum disagrees is flushed-that-
-/// way damage and returns kCorruption — truncating it would silently drop
-/// acked transactions.
+/// its length in `*valid_bytes`; damage below a torn tail is kCorruption —
+/// truncating it would silently drop acked transactions.
 Status ScanValidFramePrefix(const std::string& path, uint64_t* valid_bytes);
 
 /// ftruncate(2) `path` to `valid_bytes` and fsync the result. Used by

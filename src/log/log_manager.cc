@@ -5,8 +5,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <utility>
 
 #include "common/macros.h"
+#include "common/stats.h"
 
 namespace next700 {
 
@@ -184,8 +186,10 @@ Lsn LogManager::Append(LogRecordType type, const uint8_t* body,
   const uint32_t header_sum =
       FrameHeaderSum(len_field, static_cast<uint8_t>(type));
   Lsn end;
+  bool wake;
   {
     MutexLock lock(&mu_);
+    wake = StageAppend();
     LogWriter writer(&buffer_);
     writer.PutU32(len_field);
     writer.PutU8(static_cast<uint8_t>(type));
@@ -195,18 +199,28 @@ Lsn LogManager::Append(LogRecordType type, const uint8_t* body,
     appended_lsn_ += kFrameOverheadBytes + body_len;
     end = appended_lsn_;
   }
+  if (wake) flusher_cv_.NotifyOne();
   return end;
 }
 
 Lsn LogManager::AppendRaw(const uint8_t* data, size_t len) {
   Lsn end;
+  bool wake;
   {
     MutexLock lock(&mu_);
+    wake = StageAppend();
     buffer_.insert(buffer_.end(), data, data + len);
     appended_lsn_ += len;
     end = appended_lsn_;
   }
+  if (wake) flusher_cv_.NotifyOne();
   return end;
+}
+
+bool LogManager::StageAppend() {
+  if (buffer_.empty()) buffer_first_ns_ = NowNanos();
+  ++buffered_records_;
+  return std::exchange(flusher_idle_, false);
 }
 
 Status LogManager::ReadFramesInRange(Lsn lsn_lo, Lsn lsn_hi,
@@ -285,7 +299,6 @@ void LogManager::SetDurableCallback(std::function<void(Lsn)> callback) {
 
 Status LogManager::WaitDurable(Lsn lsn) {
   MutexLock lock(&mu_);
-  flusher_cv_.NotifyAll();  // Give the flusher a nudge for low latency.
   while (durable_lsn_ < lsn && io_status_.ok() && !flusher_exited_) {
     flushed_cv_.Wait(&mu_);
   }
@@ -297,6 +310,11 @@ Status LogManager::WaitDurable(Lsn lsn) {
 Status LogManager::io_status() const {
   MutexLock lock(&mu_);
   return io_status_;
+}
+
+LogManager::FlushStats LogManager::TakeFlushStats() {
+  MutexLock lock(&mu_);
+  return std::exchange(flush_stats_, FlushStats{});
 }
 
 Lsn LogManager::durable_lsn() const {
@@ -413,20 +431,21 @@ void LogManager::FlusherLoop() {
   std::vector<uint8_t> local;
   for (;;) {
     Lsn target;
+    uint64_t records, first_ns;
     {
       MutexLock lock(&mu_);
-      if (!stop_ && buffer_.empty()) {
-        // A spurious wake just polls one interval early — the flusher is a
-        // periodic cadence, so no condition re-check loop is needed here.
-        (void)flusher_cv_.WaitFor(
-            &mu_, std::chrono::microseconds(options_.flush_interval_us));
+      // No timed tick: the first append into the empty buffer wakes us, so
+      // a lone commit is flushed at once and an idle log costs nothing.
+      while (!stop_ && buffer_.empty()) {
+        flusher_idle_ = true;
+        flusher_cv_.Wait(&mu_);
       }
-      if (buffer_.empty()) {
-        if (stop_) break;  // Residual buffer already drained.
-        continue;
-      }
+      flusher_idle_ = false;
+      if (buffer_.empty()) break;  // Stopped; residual buffer drained.
       local.swap(buffer_);
       target = appended_lsn_;
+      records = std::exchange(buffered_records_, 0);
+      first_ns = buffer_first_ns_;
     }
     const Status s = WriteAndSync(local);
     local.clear();
@@ -440,9 +459,12 @@ void LogManager::FlusherLoop() {
       break;
     }
     flush_count_.fetch_add(1, std::memory_order_relaxed);
+    const uint64_t now = NowNanos();
     {
       MutexLock lock(&mu_);
       durable_lsn_ = target;
+      flush_stats_.batch_records.Record(records);
+      flush_stats_.oldest_wait_ns.Record(now - first_ns);
     }
     flushed_cv_.NotifyAll();
     // Invoke the durable callback outside callback_mu_ so a reentrant

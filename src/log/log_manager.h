@@ -5,10 +5,11 @@
 /// Write-ahead logging with group commit and real durability. Workers
 /// serialize their commit record into a shared buffer (one short critical
 /// section — the serial log is itself a measured contention point, cf.
-/// Aether); a dedicated flusher thread writes the buffer to the log device
-/// every `flush_interval_us`, issues the configured durability barrier
-/// (fdatasync / O_DSYNC), and only then advances the durable LSN, waking
-/// transactions blocked in WaitDurable().
+/// Aether); a dedicated flusher thread, woken by the first append into an
+/// idle log, writes the buffer to the log device, issues the configured
+/// durability barrier (fdatasync / O_DSYNC), and only then advances the
+/// durable LSN, waking transactions blocked in WaitDurable(). Records
+/// appended while a flush is in flight ride the next one: that is the group.
 ///
 /// The log is a directory of append-only segments (`log.000000`,
 /// `log.000001`, ...). Open() never truncates *committed* history: it
@@ -31,6 +32,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/histogram.h"
 #include "common/macros.h"
 #include "common/status.h"
 #include "common/thread_safety.h"
@@ -63,7 +65,6 @@ struct LogManagerOptions {
   /// Segment directory (created if missing). Replaces the old single-file
   /// `path`: opening no longer truncates previous segments.
   std::string dir;
-  uint64_t flush_interval_us = 50;
   /// Extra modelled latency injected on every physical flush (legacy NVM /
   /// SSD model; composes with, but does not substitute for, sync_policy).
   uint64_t device_latency_us = 0;
@@ -172,6 +173,16 @@ class LogManager {
   Lsn durable_lsn() const;
   Lsn appended_lsn() const;
 
+  /// Group-commit shape, one sample per flush: the records (Append /
+  /// AppendRaw calls) the flush carried, and how long the batch's oldest
+  /// byte waited from its append until it was durable, in ns. Take returns
+  /// the flushes since the previous Take and starts a new interval.
+  struct FlushStats {
+    Histogram batch_records;
+    Histogram oldest_wait_ns;
+  };
+  FlushStats TakeFlushStats();
+
   /// Physical flush count (group-commit effectiveness metric).
   uint64_t flush_count() const {
     return flush_count_.load(std::memory_order_relaxed);
@@ -227,6 +238,9 @@ class LogManager {
 
  private:
   void FlusherLoop();
+  /// Books an append about to land in buffer_; true when the flusher sleeps
+  /// and must be notified once mu_ drops.
+  bool StageAppend() REQUIRES(mu_);
   /// Rotate-if-needed + append + barrier + modelled latency for one flush.
   Status WriteAndSync(const std::vector<uint8_t>& batch);
   Status OpenSegment(uint64_t index);
@@ -274,6 +288,11 @@ class LogManager {
   Status io_status_ GUARDED_BY(mu_);  // Sticky first device error.
   bool flusher_exited_ GUARDED_BY(mu_) = false;
   bool stop_ GUARDED_BY(mu_) = false;
+  // Set by the flusher before it sleeps, cleared by the appender that
+  // wakes it: a busy flusher costs appenders no notify.
+  bool flusher_idle_ GUARDED_BY(mu_) = false;
+  uint64_t buffered_records_ GUARDED_BY(mu_) = 0;  // Appends in buffer_.
+  uint64_t buffer_first_ns_ GUARDED_BY(mu_) = 0;   // Oldest byte's append.
   // Open/Close-caller-owned (the API is single-threaded there); unshared,
   // so unannotated.
   bool running_ = false;
@@ -282,6 +301,7 @@ class LogManager {
   std::atomic<uint64_t> sync_count_{0};
   std::atomic<uint64_t> segments_opened_{0};
   std::atomic<uint64_t> write_syscalls_{0};
+  FlushStats flush_stats_ GUARDED_BY(mu_);
 
   std::thread flusher_;
 };

@@ -171,66 +171,29 @@ Status RecoveryManager::WalkFrames(const uint8_t* data, size_t len,
                                    const std::string& origin,
                                    bool allow_torn_tail, Lsn base_lsn,
                                    Lsn start_lsn, RecoveryStats* stats) {
-  size_t pos = 0;
-  while (pos < len) {
-    // Frame: u32 len, u8 type, u32 header_sum, body, u64 body_sum.
-    if (pos + kFrameHeaderBytes > len) {  // Torn tail.
-      if (allow_torn_tail) break;
-      return Status::Corruption("torn frame in " + origin);
-    }
-    uint32_t body_len;
-    std::memcpy(&body_len, data + pos, 4);
-    const uint8_t type_raw = data[pos + 4];
-    uint32_t header_sum;
-    std::memcpy(&header_sum, data + pos + 5, 4);
-    if (header_sum != FrameHeaderSum(body_len, type_raw)) {
-      // A torn write leaves a *prefix*; it cannot produce nine header
-      // bytes that disagree with their own checksum. This is corruption
-      // even at the tail — without it a flipped length byte would read as
-      // a torn tail and silently drop every acked txn behind it.
-      return Status::Corruption("log frame header corrupt in " + origin);
-    }
-    const size_t frame_end = pos + kFrameOverheadBytes + body_len;
-    if (frame_end > len) {  // Torn tail (header vouches for len).
-      if (allow_torn_tail) break;
-      return Status::Corruption("torn frame in " + origin);
-    }
-    const uint8_t* body = data + pos + kFrameHeaderBytes;
-    uint64_t checksum;
-    std::memcpy(&checksum, data + pos + kFrameHeaderBytes + body_len, 8);
-    if (checksum != FnvHashBytes(body, body_len)) {
-      // The whole frame is present, so the write that produced it
-      // completed — a bad body checksum is corruption, never a crash tail.
-      return Status::Corruption("log checksum mismatch in " + origin);
-    }
-    if (base_lsn + frame_end <= start_lsn) {
-      pos = frame_end;  // Before the checkpoint: already materialized.
-      continue;
-    }
-    LogReader reader(body, body_len);
-    Status s;
-    switch (static_cast<LogRecordType>(type_raw)) {
-      case LogRecordType::kTxnValue:
-        s = ApplyValueRecord(&reader, stats);
-        break;
-      case LogRecordType::kTxnCommand:
-        s = ApplyCommandRecord(&reader, stats);
-        break;
-      case LogRecordType::kTxnPrepare:
-        s = ApplyPrepareRecord(&reader, stats);
-        break;
-      case LogRecordType::kTxnOutcome:
-        s = ApplyOutcomeRecord(&reader, stats);
-        break;
-      default:
-        // kCoordDecision never appears in an engine log — a coordinator's
-        // decision log holds nothing else and is scanned separately.
-        s = Status::Corruption("unknown record type");
-    }
-    if (!s.ok()) return s;
-    pos = frame_end;
-  }
-  return Status::OK();
+  return WalkLogFrames(
+      data, len, origin, allow_torn_tail,
+      [&](LogRecordType type, const uint8_t* body, uint32_t body_len,
+          size_t frame_end) {
+        // Before the checkpoint: already materialized.
+        if (base_lsn + frame_end <= start_lsn) return Status::OK();
+        LogReader reader(body, body_len);
+        switch (type) {
+          case LogRecordType::kTxnValue:
+            return ApplyValueRecord(&reader, stats);
+          case LogRecordType::kTxnCommand:
+            return ApplyCommandRecord(&reader, stats);
+          case LogRecordType::kTxnPrepare:
+            return ApplyPrepareRecord(&reader, stats);
+          case LogRecordType::kTxnOutcome:
+            return ApplyOutcomeRecord(&reader, stats);
+          default:
+            // kCoordDecision never appears in an engine log — a
+            // coordinator's decision log holds nothing else and is scanned
+            // separately.
+            return Status::Corruption("unknown record type");
+        }
+      });
 }
 
 Status RecoveryManager::ApplyFrames(const uint8_t* data, size_t len,
@@ -298,55 +261,6 @@ Status RecoveryManager::Replay(const std::string& path, RecoveryStats* stats,
   return Status::OK();
 }
 
-namespace {
-
-/// One segment (or single file) of a coordinator decision log.
-Status ScanDecisionBytes(const uint8_t* data, size_t len,
-                         const std::string& origin, bool allow_torn_tail,
-                         std::vector<uint64_t>* committed) {
-  size_t pos = 0;
-  while (pos < len) {
-    if (pos + kFrameHeaderBytes > len) {
-      if (allow_torn_tail) break;
-      return Status::Corruption("torn frame in " + origin);
-    }
-    uint32_t body_len;
-    std::memcpy(&body_len, data + pos, 4);
-    const uint8_t type_raw = data[pos + 4];
-    uint32_t header_sum;
-    std::memcpy(&header_sum, data + pos + 5, 4);
-    if (header_sum != FrameHeaderSum(body_len, type_raw)) {
-      return Status::Corruption("decision frame header corrupt in " +
-                                origin);
-    }
-    const size_t frame_end = pos + kFrameOverheadBytes + body_len;
-    if (frame_end > len) {
-      if (allow_torn_tail) break;
-      return Status::Corruption("torn frame in " + origin);
-    }
-    const uint8_t* body = data + pos + kFrameHeaderBytes;
-    uint64_t checksum;
-    std::memcpy(&checksum, data + pos + kFrameHeaderBytes + body_len, 8);
-    if (checksum != FnvHashBytes(body, body_len)) {
-      return Status::Corruption("decision checksum mismatch in " + origin);
-    }
-    if (static_cast<LogRecordType>(type_raw) !=
-            LogRecordType::kCoordDecision ||
-        body_len != sizeof(uint64_t)) {
-      return Status::Corruption("non-decision record in coordinator log " +
-                                origin);
-    }
-    LogReader reader(body, body_len);
-    uint64_t gtid;
-    NEXT700_CHECK(reader.GetU64(&gtid));
-    committed->push_back(gtid);
-    pos = frame_end;
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
 Status ScanCoordinatorDecisions(const std::string& path,
                                 std::vector<uint64_t>* committed) {
   struct stat st;
@@ -364,10 +278,22 @@ Status ScanCoordinatorDecisions(const std::string& path,
   for (size_t i = 0; i < files.size(); ++i) {
     std::vector<uint8_t> file;
     NEXT700_RETURN_IF_ERROR(ReadFileFully(files[i], &file));
-    NEXT700_RETURN_IF_ERROR(
-        ScanDecisionBytes(file.data(), file.size(), files[i],
-                          /*allow_torn_tail=*/i + 1 == files.size(),
-                          committed));
+    const std::string& origin = files[i];
+    NEXT700_RETURN_IF_ERROR(WalkLogFrames(
+        file.data(), file.size(), origin,
+        /*allow_torn_tail=*/i + 1 == files.size(),
+        [&](LogRecordType type, const uint8_t* body, uint32_t body_len,
+            size_t) {
+          if (type != LogRecordType::kCoordDecision ||
+              body_len != sizeof(uint64_t)) {
+            return Status::Corruption(
+                "non-decision record in coordinator log " + origin);
+          }
+          uint64_t gtid;
+          std::memcpy(&gtid, body, sizeof(gtid));
+          committed->push_back(gtid);
+          return Status::OK();
+        }));
   }
   return Status::OK();
 }

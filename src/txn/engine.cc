@@ -102,7 +102,6 @@ Engine::Engine(EngineOptions options) : options_(std::move(options)) {
                       "logging enabled without log_dir");
     LogManagerOptions log_options;
     log_options.dir = options_.log_dir;
-    log_options.flush_interval_us = options_.log_flush_interval_us;
     log_options.device_latency_us = options_.log_device_latency_us;
     log_options.sync_policy = options_.log_sync;
     log_options.segment_bytes = options_.log_segment_bytes;

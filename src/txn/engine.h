@@ -57,7 +57,6 @@ struct EngineOptions {
   /// Durability barrier per group-commit flush. kNone makes sync_commit
   /// wait only for the write() — fast, but a kernel crash can lose it.
   LogSyncPolicy log_sync = LogSyncPolicy::kNone;
-  uint64_t log_flush_interval_us = 50;
   uint64_t log_device_latency_us = 0;
   /// Rotate to a new segment once the live one exceeds this (0 = never).
   uint64_t log_segment_bytes = 64ull << 20;

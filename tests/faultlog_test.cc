@@ -43,7 +43,6 @@ Db MakeDb(LoggingKind logging, const std::string& dir,
   options.logging = logging;
   options.log_dir = dir;
   options.sync_commit = true;
-  options.log_flush_interval_us = 20;
   if (logging != LoggingKind::kNone) {
     options.log_sync = LogSyncPolicy::kFdatasync;
     if (injector != nullptr) options.log_file_factory = injector->factory();

@@ -6,9 +6,13 @@
 
 #include <atomic>
 #include <cerrno>
+#include <chrono>
+#include <cmath>
+#include <condition_variable>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <mutex>
 #include <thread>
 
 #include "log/recovery.h"
@@ -44,7 +48,6 @@ std::string OnlySegmentPath(const std::string& dir) {
 TEST(LogManagerTest, AppendAdvancesLsnAndBecomesDurable) {
   LogManagerOptions options;
   options.dir = TempLogDir("append");
-  options.flush_interval_us = 100;
   LogManager log(options);
   ASSERT_TRUE(log.Open().ok());
   const std::vector<uint8_t> body{1, 2, 3, 4};
@@ -61,17 +64,81 @@ TEST(LogManagerTest, AppendAdvancesLsnAndBecomesDurable) {
 TEST(LogManagerTest, GroupCommitBatchesFlushes) {
   LogManagerOptions options;
   options.dir = TempLogDir("group");
-  options.flush_interval_us = 2000;
+  // A slow device: whatever lands while one flush is in flight must ride
+  // the next one instead of costing a flush of its own.
+  options.device_latency_us = 2000;
   LogManager log(options);
   ASSERT_TRUE(log.Open().ok());
-  const std::vector<uint8_t> body(64, 7);
-  Lsn last = 0;
-  for (int i = 0; i < 100; ++i) {
-    last = log.Append(LogRecordType::kTxnValue, body);
+  constexpr int kThreads = 4;
+  constexpr int kAppends = 100;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&log] {
+      const std::vector<uint8_t> body(64, 7);
+      Lsn last = 0;
+      for (int i = 0; i < kAppends; ++i) {
+        last = log.Append(LogRecordType::kTxnValue, body);
+      }
+      EXPECT_TRUE(log.WaitDurable(last).ok());
+    });
   }
-  EXPECT_TRUE(log.WaitDurable(last).ok());
-  // 100 records must not require 100 physical flushes.
-  EXPECT_LT(log.flush_count(), 50u);
+  for (std::thread& t : threads) t.join();
+  // 400 records must not require 400 physical flushes.
+  EXPECT_LT(log.flush_count(), 100u);
+  // One batch-size sample per flush, and together they cover every record.
+  const LogManager::FlushStats stats = log.TakeFlushStats();
+  EXPECT_EQ(stats.batch_records.count(), log.flush_count());
+  EXPECT_EQ(std::llround(stats.batch_records.Mean() *
+                         static_cast<double>(stats.batch_records.count())),
+            kThreads * kAppends);
+  EXPECT_GT(stats.batch_records.max(), 1u);
+  EXPECT_EQ(stats.oldest_wait_ns.count(), log.flush_count());
+  // Every batch waited out at least its own slow flush.
+  EXPECT_GE(stats.oldest_wait_ns.min(), 2000u * 1000u);
+  log.Close();
+}
+
+/// The flusher sleeps untimed, so only an appender's notify can wake it: a
+/// lost wakeup would leave an append undurable forever (no tick rescues
+/// it). Each append waits for the durable callback alone — no WaitDurable,
+/// whose wait must not be what makes progress — under a deadline that
+/// turns a hang into a failure.
+TEST(LogManagerTest, EveryAppendWakesAnIdleFlusher) {
+  LogManagerOptions options;
+  options.dir = TempLogDir("wakeup");
+  LogManager log(options);
+  ASSERT_TRUE(log.Open().ok());
+  std::mutex mu;
+  std::condition_variable cv;
+  Lsn durable = 0;
+  log.SetDurableCallback([&](Lsn lsn) {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      durable = lsn;
+    }
+    cv.notify_all();
+  });
+  constexpr int kThreads = 4;
+  constexpr int kAppends = 5000;
+  std::atomic<int> timeouts{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      const std::vector<uint8_t> body(16, 3);
+      for (int i = 0; i < kAppends && timeouts.load() == 0; ++i) {
+        const Lsn lsn = log.Append(LogRecordType::kTxnValue, body);
+        std::unique_lock<std::mutex> lock(mu);
+        if (!cv.wait_for(lock, std::chrono::seconds(10),
+                         [&] { return durable >= lsn; })) {
+          ++timeouts;
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  log.SetDurableCallback(nullptr);
+  EXPECT_EQ(timeouts.load(), 0) << "an append never became durable";
+  EXPECT_EQ(log.durable_lsn(), log.appended_lsn());
   log.Close();
 }
 
@@ -350,7 +417,6 @@ TEST(LogManagerTest, ReopenRejectsCorruptFinalSegment) {
 TEST(LogManagerTest, WaitDurableReportsUnavailableWhenClosedEarly) {
   LogManagerOptions options;
   options.dir = TempLogDir("closed_early");
-  options.flush_interval_us = 50;
   LogManager log(options);
   ASSERT_TRUE(log.Open().ok());
   const std::vector<uint8_t> body(8, 2);
@@ -369,7 +435,6 @@ TEST(LogManagerTest, WaitDurableReportsUnavailableWhenClosedEarly) {
 TEST(LogManagerTest, ReentrantDurableCallbackDoesNotDeadlock) {
   LogManagerOptions options;
   options.dir = TempLogDir("reentrant_cb");
-  options.flush_interval_us = 20;
   LogManager log(options);
   ASSERT_TRUE(log.Open().ok());
   std::atomic<int> invocations{0};
@@ -564,7 +629,6 @@ class RecoveryTest : public ::testing::Test {
     options.max_threads = 2;
     options.logging = logging;
     options.log_dir = dir;
-    options.log_flush_interval_us = 50;
     return options;
   }
 
@@ -996,7 +1060,6 @@ TEST(LogManagerTest, UringFlusherWritesDurableBytes) {
   LogManagerOptions options;
   options.dir = TempLogDir("uring_flush");
   options.sync_policy = LogSyncPolicy::kFdatasync;
-  options.flush_interval_us = 100;
   options.io_backend = io::IoBackendKind::kUring;
   LogManager log(options);
   ASSERT_TRUE(log.Open().ok());

@@ -95,7 +95,6 @@ EngineOptions NodeEngineOptions(const std::string& log_dir) {
   eng.num_partitions = 2;
   eng.logging = LoggingKind::kValue;
   eng.log_dir = log_dir;
-  eng.log_flush_interval_us = 20;
   eng.log_io_backend = g_io_backend;
   return eng;
 }

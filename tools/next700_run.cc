@@ -483,6 +483,18 @@ int RunServe(Flags* flags) {
                 static_cast<unsigned long long>(
                     engine.log_manager()->write_syscalls()),
                 engine.log_manager()->io_backend_name());
+    const LogManager::FlushStats flushes =
+        engine.log_manager()->TakeFlushStats();
+    std::printf("group commit:         %llu flushes, txns/flush p50=%llu "
+                "max=%llu, oldest-byte wait p50=%.1fus p99=%.1fus\n",
+                static_cast<unsigned long long>(flushes.batch_records.count()),
+                static_cast<unsigned long long>(
+                    flushes.batch_records.Percentile(0.50)),
+                static_cast<unsigned long long>(flushes.batch_records.max()),
+                static_cast<double>(flushes.oldest_wait_ns.Percentile(0.50)) /
+                    1e3,
+                static_cast<double>(flushes.oldest_wait_ns.Percentile(0.99)) /
+                    1e3);
   }
   if (stats.repl_batches_shipped.load() > 0 ||
       stats.repl_acks_received.load() > 0) {
