@@ -19,7 +19,9 @@
 /// frames_per_writev so regressions in batching are visible in the JSON,
 /// not just in throughput, plus the group-commit layer itself:
 /// txns_per_flush (mean write txns per log flush) and commit_wait_us_p50
-/// (median age of a flush's oldest byte when it became durable).
+/// (median age of a flush's oldest byte when it became durable), and
+/// inline_share: the fraction of dispatched requests the event loop ran
+/// itself instead of handing them to a worker (run-to-completion).
 
 #include <sys/resource.h>
 
@@ -67,6 +69,8 @@ struct IoSnapshot {
   uint64_t writev_batches = 0;
   uint64_t frames_batched = 0;
   uint64_t log_writes = 0;
+  uint64_t requests_dispatched = 0;
+  uint64_t requests_inline = 0;
 };
 
 IoSnapshot Snap(const server::Server& srv, Engine& engine) {
@@ -76,6 +80,10 @@ IoSnapshot Snap(const server::Server& srv, Engine& engine) {
   }
   s.writev_batches = srv.stats().writev_batches.load(std::memory_order_relaxed);
   s.frames_batched = srv.stats().frames_batched.load(std::memory_order_relaxed);
+  s.requests_dispatched =
+      srv.stats().requests_dispatched.load(std::memory_order_relaxed);
+  s.requests_inline =
+      srv.stats().requests_inline.load(std::memory_order_relaxed);
   if (engine.log_manager() != nullptr) {
     s.log_writes = engine.log_manager()->write_syscalls();
   }
@@ -119,6 +127,13 @@ bool RunPoint(JsonOutput* json, const char* axis, server::Server* srv,
                                         before.frames_batched) /
                         static_cast<double>(writevs)
                   : 0.0;
+  const uint64_t dispatched =
+      after.requests_dispatched - before.requests_dispatched;
+  const double inline_share =
+      dispatched > 0 ? static_cast<double>(after.requests_inline -
+                                           before.requests_inline) /
+                           static_cast<double>(dispatched)
+                     : 0.0;
   const double p50_us =
       static_cast<double>(stats.latency_ns.Percentile(0.50)) / 1e3;
   const double p95_us =
@@ -128,14 +143,14 @@ bool RunPoint(JsonOutput* json, const char* axis, server::Server* srv,
 
   std::printf(
       "%s,%s,%d,%d,%d,%s,%.0f,%llu,%llu,%llu,%.0f,%.0f,%.0f,%.2f,%.3f,%.1f,"
-      "%.2f,%.1f\n",
+      "%.2f,%.1f,%.3f\n",
       axis, CcSchemeName(comp.scheme), workers, connections, pipeline,
       srv->io_backend_name(), stats.Throughput(),
       static_cast<unsigned long long>(stats.ok),
       static_cast<unsigned long long>(stats.aborted),
       static_cast<unsigned long long>(stats.resource_exhausted), p50_us,
       p95_us, p99_us, syscalls_per_txn, log_writes_per_txn,
-      frames_per_writev, txns_per_flush, commit_wait_us_p50);
+      frames_per_writev, txns_per_flush, commit_wait_us_p50, inline_share);
   std::fflush(stdout);
   json->AddPoint(
       {{"axis", JsonOutput::Str(axis)},
@@ -162,7 +177,8 @@ bool RunPoint(JsonOutput* json, const char* axis, server::Server* srv,
        {"log_writes_per_txn", JsonOutput::Num(log_writes_per_txn)},
        {"frames_per_writev", JsonOutput::Num(frames_per_writev)},
        {"txns_per_flush", JsonOutput::Num(txns_per_flush)},
-       {"commit_wait_us_p50", JsonOutput::Num(commit_wait_us_p50)}});
+       {"commit_wait_us_p50", JsonOutput::Num(commit_wait_us_p50)},
+       {"inline_share", JsonOutput::Num(inline_share)}});
   if (stats.transport_errors != 0) {
     std::fprintf(stderr, "transport errors: %llu\n",
                  static_cast<unsigned long long>(stats.transport_errors));
@@ -219,7 +235,7 @@ int main(int argc, char** argv) {
               "axis,scheme,workers,connections,pipeline,io_backend,"
               "throughput_txn_s,ok,aborted,rejected,p50_us,p95_us,p99_us,"
               "syscalls_per_txn,log_writes_per_txn,frames_per_writev,"
-              "txns_per_flush,commit_wait_us_p50");
+              "txns_per_flush,commit_wait_us_p50,inline_share");
 
   const uint64_t records = QuickMode() ? 20000 : 100000;
   const double seconds = QuickMode() ? 0.3 : 2.0;

@@ -11,10 +11,10 @@
 ///
 /// Two implementations:
 ///  - `uring`: a liburing-free raw io_uring ring (syscall wrappers + ring
-///    mmap). Feature-probed at startup: multishot accept and registered
-///    read buffers are used where the kernel supports them, with runtime
-///    fallbacks where it does not. Write + fsync pairs can be linked into
-///    a single submission (the log path's group-commit barrier).
+///    mmap). Feature-probed at startup: multishot accept is used where the
+///    kernel supports it, with a runtime fallback where it does not.
+///    Write + fsync pairs can be linked into a single submission (the log
+///    path's group-commit barrier).
 ///  - `epoll`: a portable fallback that keeps epoll underneath but
 ///    preserves the completion-queue surface: submitted writevs are
 ///    attempted immediately (one gather syscall for every frame queued on
@@ -128,15 +128,6 @@ class IoBackend {
 
   /// Thread-safe: wakes a blocked Reap, surfacing one Op::kWakeup event.
   virtual void Wakeup() = 0;
-
-  /// Optional registered-buffer pool (uring fixed buffers). Returns null
-  /// when the backend has no pool or it is exhausted; callers fall back to
-  /// heap buffers. Reads from a pool buffer skip the per-op pin/unpin.
-  virtual uint8_t* AcquireReadBuffer(size_t* size) {
-    (void)size;
-    return nullptr;
-  }
-  virtual void ReleaseReadBuffer(uint8_t* buf) { (void)buf; }
 
   const IoCounters& counters() const { return counters_; }
 

@@ -6,10 +6,7 @@
 ///  - requires IORING_FEAT_EXT_ARG (5.11+) so Reap timeouts are native;
 ///    anything older reports unsupported and kAuto falls back to epoll;
 ///  - multishot accept (5.19+) is probed at runtime: the first -EINVAL
-///    completion flips the listener to oneshot-with-resubmit;
-///  - a slab of registered buffers serves read paths via READ_FIXED where
-///    registration succeeds (locked-memory limits can refuse it), with
-///    plain READ as the per-op fallback.
+///    completion flips the listener to oneshot-with-resubmit.
 ///
 /// Ring head/tail words are shared with the kernel; they are accessed with
 /// __atomic acquire/release builtins (TSan-visible, fence-free on x86).
@@ -25,7 +22,6 @@
 #include <cstring>
 #include <deque>
 #include <unordered_map>
-#include <vector>
 
 #include "common/macros.h"
 #include "io/backend_internal.h"
@@ -67,12 +63,6 @@ int SysIoUringEnter(int fd, unsigned to_submit, unsigned min_complete,
                                     min_complete, flags, arg, arg_sz));
 }
 
-int SysIoUringRegister(int fd, unsigned opcode, const void* arg,
-                       unsigned nr_args) {
-  return static_cast<int>(
-      ::syscall(__NR_io_uring_register, fd, opcode, arg, nr_args));
-}
-
 // Local mirrors of post-5.11 uapi structs so older headers still compile;
 // layouts are kernel ABI.
 struct KernelTimespec {
@@ -90,9 +80,6 @@ struct GetEventsArg {
 /// callers keep their user_data below this range.
 constexpr uint64_t kWakeCookie = ~uint64_t{0};
 constexpr uint64_t kCancelCookie = ~uint64_t{0} - 1;
-
-constexpr unsigned kFixedBufCount = 32;
-constexpr size_t kFixedBufSize = 64 * 1024;
 
 class UringBackend final : public IoBackend {
  public:
@@ -174,24 +161,6 @@ class UringBackend final : public IoBackend {
     wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
     if (wake_fd_ < 0) return Status::IOError("eventfd failed");
 
-    // Registered read buffers: best-effort (RLIMIT_MEMLOCK can refuse).
-    fixed_slab_.resize(kFixedBufCount * kFixedBufSize);
-    std::vector<struct iovec> iovs(kFixedBufCount);
-    for (unsigned i = 0; i < kFixedBufCount; ++i) {
-      iovs[i].iov_base = fixed_slab_.data() + i * kFixedBufSize;
-      iovs[i].iov_len = kFixedBufSize;
-    }
-    if (SysIoUringRegister(ring_fd_, IORING_REGISTER_BUFFERS, iovs.data(),
-                           kFixedBufCount) == 0) {
-      fixed_ok_ = true;
-      for (unsigned i = 0; i < kFixedBufCount; ++i) {
-        free_bufs_.push_back(static_cast<int>(i));
-      }
-    } else {
-      fixed_slab_.clear();
-      fixed_slab_.shrink_to_fit();
-    }
-
     SubmitWakeRead();
     return Status::OK();
   }
@@ -209,13 +178,11 @@ class UringBackend final : public IoBackend {
                     uint64_t user_data) override {
     struct io_uring_sqe* sqe = nullptr;
     NEXT700_RETURN_IF_ERROR(GetSqe(&sqe));
-    const int buf_index = FixedIndexOf(buf, len);
-    sqe->opcode = buf_index >= 0 ? IORING_OP_READ_FIXED : IORING_OP_READ;
+    sqe->opcode = IORING_OP_READ;
     sqe->fd = fd;
     sqe->addr = reinterpret_cast<uint64_t>(buf);
     sqe->len = static_cast<uint32_t>(len);
     sqe->off = static_cast<uint64_t>(-1);
-    if (buf_index >= 0) sqe->buf_index = static_cast<uint16_t>(buf_index);
     sqe->user_data = user_data;
     pending_[user_data] = PendingOp{IoEvent::Op::kRead, fd};
     counters_.submissions.fetch_add(1, std::memory_order_relaxed);
@@ -340,38 +307,11 @@ class UringBackend final : public IoBackend {
     [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof(one));
   }
 
-  uint8_t* AcquireReadBuffer(size_t* size) override {
-    if (!fixed_ok_ || free_bufs_.empty()) return nullptr;
-    const int idx = free_bufs_.back();
-    free_bufs_.pop_back();
-    *size = kFixedBufSize;
-    return fixed_slab_.data() + static_cast<size_t>(idx) * kFixedBufSize;
-  }
-
-  void ReleaseReadBuffer(uint8_t* buf) override {
-    if (!fixed_ok_ || buf == nullptr) return;
-    free_bufs_.push_back(
-        static_cast<int>((buf - fixed_slab_.data()) / kFixedBufSize));
-  }
-
  private:
   struct PendingOp {
     IoEvent::Op op;
     int fd;
   };
-
-  int FixedIndexOf(const uint8_t* buf, size_t len) const {
-    if (!fixed_ok_ || fixed_slab_.empty()) return -1;
-    if (buf < fixed_slab_.data() ||
-        buf + len > fixed_slab_.data() + fixed_slab_.size()) {
-      return -1;
-    }
-    const size_t off = static_cast<size_t>(buf - fixed_slab_.data());
-    const size_t idx = off / kFixedBufSize;
-    // The read must stay inside one registered buffer.
-    if (off + len > (idx + 1) * kFixedBufSize) return -1;
-    return static_cast<int>(idx);
-  }
 
   /// Hands out the next free SQE, flushing (with bounded retry) when the
   /// ring is full — the short-submission path: a full SQ or a backed-up CQ
@@ -554,10 +494,6 @@ class UringBackend final : public IoBackend {
   bool accept_armed_ = false;
   bool accept_completed_once_ = false;
   bool multishot_ok_ = true;
-
-  bool fixed_ok_ = false;
-  std::vector<uint8_t> fixed_slab_;
-  std::vector<int> free_bufs_;
 
   std::unordered_map<uint64_t, PendingOp> pending_;
   std::deque<IoEvent> ready_;

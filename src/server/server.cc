@@ -516,6 +516,7 @@ bool Server::HandlePrepare(Connection* conn, const Frame& frame) {
       item.is_prepare = true;
       item.prepare = std::move(prepare);
       queue->items.push_back(std::move(item));
+      prepares_active_.fetch_add(1, std::memory_order_relaxed);
     }
   }
   if (rejected) {
@@ -650,23 +651,35 @@ void Server::DispatchRequest(Connection* conn, Request request) {
     }
   }
   WorkQueue* queue = queues_[static_cast<size_t>(WorkerFor(request))].get();
+  // Run-to-completion (see the file comment): the request-independent
+  // conditions; the queue-state ones are checked under its mutex below.
+  const bool may_run_inline =
+      options_.snapshot_source == nullptr &&
+      conn->decoder()->buffered_bytes() == 0 &&
+      prepares_active_.load(std::memory_order_acquire) == 0;
+  WorkItem item;
+  item.conn_id = conn->id();
+  item.seq = seq;
+  item.request = std::move(request);
   inflight_.fetch_add(1, std::memory_order_relaxed);
   bool rejected = false;
+  int borrowed_thread = -1;
   {
     MutexLock lock(&queue->mu);
     if (queue->stopped) {
       rejected = true;
       error.status = StatusCode::kUnavailable;
+    } else if (may_run_inline && queue->items.empty() &&
+               !queue->parked.empty()) {
+      // Only this thread enqueues, so the parked worker cannot be handed
+      // work while the loop runs under its engine thread id.
+      borrowed_thread = queue->parked.back();
     } else if (queue->items.size() >= options_.queue_capacity) {
       // Admission control: the queue is the last bounded stage; shedding
       // load here keeps overload from turning into unbounded memory growth.
       rejected = true;
       error.status = StatusCode::kResourceExhausted;
     } else {
-      WorkItem item;
-      item.conn_id = conn->id();
-      item.seq = seq;
-      item.request = std::move(request);
       queue->items.push_back(std::move(item));
     }
   }
@@ -679,7 +692,18 @@ void Server::DispatchRequest(Connection* conn, Request request) {
     return;
   }
   stats_.requests_dispatched.fetch_add(1, std::memory_order_relaxed);
-  queue->cv.NotifyOne();
+  if (borrowed_thread < 0) {
+    queue->cv.NotifyOne();
+    return;
+  }
+  stats_.requests_inline.fetch_add(1, std::memory_order_relaxed);
+  Completion completion;
+  if (!ExecuteRequest(borrowed_thread, item, &completion)) {
+    return;  // Held until durable; released through DrainCompletions.
+  }
+  inflight_.fetch_sub(1, std::memory_order_relaxed);
+  conn->Complete(seq, std::move(completion.encoded));
+  FlushConnection(conn);  // May close `conn`; DrainFrames re-finds by id.
 }
 
 int Server::WorkerFor(const Request& request) {
@@ -906,14 +930,16 @@ void Server::WorkerLoop(int worker_id) {
   WorkQueue* queue =
       queues_[partitioned_dispatch_ ? static_cast<size_t>(worker_id) : 0]
           .get();
-  LogManager* log = engine_->log_manager();
-  SnapshotSource* snapshot = options_.snapshot_source;
   for (;;) {
     WorkItem item;
     {
       MutexLock lock(&queue->mu);
       while (!queue->stopped && queue->items.empty()) {
+        // While parked, the event loop may run a request under this id.
+        queue->parked.push_back(worker_id);
         queue->cv.Wait(&queue->mu);
+        queue->parked.erase(std::find(queue->parked.begin(),
+                                      queue->parked.end(), worker_id));
       }
       if (queue->stopped) return;  // Remaining replies are dropped at Stop.
       item = std::move(queue->items.front());
@@ -921,65 +947,59 @@ void Server::WorkerLoop(int worker_id) {
     }
     if (item.is_prepare) {
       RunPrepare(worker_id, &item);
+      prepares_active_.fetch_sub(1, std::memory_order_release);
       continue;
     }
-    Engine::DeferredResult result;
-    Lsn snapshot_lsn = 0;
-    if (snapshot != nullptr) {
-      // Replica role: exclude the applier's raw writes for the duration of
-      // the (read-only) procedure; the snapshot LSN reported to the client
-      // is the applied prefix the read actually observed.
-      snapshot->ReadLock();
-      result = engine_->RunProcedureDeferred(
-          item.request.proc_id, worker_id, item.request.args.data(),
-          item.request.args.size(), item.request.partitions);
-      snapshot_lsn = snapshot->applied_lsn();
-      snapshot->ReadUnlock();
-    } else {
-      result = engine_->RunProcedureDeferred(
-          item.request.proc_id, worker_id, item.request.args.data(),
-          item.request.args.size(), item.request.partitions);
-    }
-    Response response;
-    response.request_id = item.request.request_id;
-    response.status = result.status.code();
-    response.commit_lsn = snapshot != nullptr ? snapshot_lsn
-                                              : result.commit_lsn;
-    response.payload = std::move(result.reply);
     Completion completion;
-    completion.conn_id = item.conn_id;
-    completion.seq = item.seq;
-    EncodeResponse(response, &completion.encoded);
-
-    if (result.commit_lsn > 0 && log != nullptr) {
-      // Group-commit-aware reply release: hold the response until the
-      // release watermark (local durability, plus a replica ack in
-      // semisync mode) reaches the commit LSN, so the client never
-      // observes a commit that could still be lost. The re-check after
-      // insertion closes the race with a flush/ack that landed in between.
-      bool held = false;
-      {
-        MutexLock lock(&held_mu_);
-        if (ReleaseWatermark(log->durable_lsn()) < result.commit_lsn) {
-          held_replies_.push(HeldReply{result.commit_lsn,
-                                       std::move(completion)});
-          held = true;
-        }
-      }
-      if (held) {
-        stats_.replies_held_durable.fetch_add(1, std::memory_order_relaxed);
-        ReleaseDurable(ReleaseWatermark(log->durable_lsn()));
-      } else {
-        PushCompletion(std::move(completion));
-      }
-    } else {
+    if (ExecuteRequest(worker_id, item, &completion)) {
       PushCompletion(std::move(completion));
     }
   }
 }
 
-void Server::RunPrepare(int worker_id, WorkItem* item) {
+bool Server::ExecuteRequest(int thread_id, const WorkItem& item,
+                            Completion* ready) {
+  SnapshotSource* snapshot = options_.snapshot_source;
+  const Request& request = item.request;
+  // Replica role: exclude the applier's raw writes for the duration of the
+  // (read-only) procedure; the snapshot LSN reported to the client is the
+  // applied prefix the read actually observed.
+  if (snapshot != nullptr) snapshot->ReadLock();
+  Engine::DeferredResult result = engine_->RunProcedureDeferred(
+      request.proc_id, thread_id, request.args.data(), request.args.size(),
+      request.partitions);
+  Response response;
+  response.request_id = request.request_id;
+  response.status = result.status.code();
+  response.commit_lsn = result.commit_lsn;
+  if (snapshot != nullptr) {
+    response.commit_lsn = snapshot->applied_lsn();
+    snapshot->ReadUnlock();
+  }
+  response.payload = std::move(result.reply);
+  ready->conn_id = item.conn_id;
+  ready->seq = item.seq;
+  EncodeResponse(response, &ready->encoded);
+  // The client must never observe a commit that could still be lost.
+  return !HoldUntilDurable(result.commit_lsn, ready);
+}
+
+bool Server::HoldUntilDurable(Lsn lsn, Completion* completion) {
   LogManager* log = engine_->log_manager();
+  if (lsn == 0 || log == nullptr) return false;
+  {
+    MutexLock lock(&held_mu_);
+    if (ReleaseWatermark(log->durable_lsn()) >= lsn) return false;
+    held_replies_.push(HeldReply{lsn, std::move(*completion)});
+  }
+  stats_.replies_held_durable.fetch_add(1, std::memory_order_relaxed);
+  // Re-check after insertion: closes the race with a flush or replica ack
+  // that landed in between.
+  ReleaseDurable(ReleaseWatermark(log->durable_lsn()));
+  return true;
+}
+
+void Server::RunPrepare(int worker_id, WorkItem* item) {
   const Prepare& prepare = item->prepare;
   const Procedure* proc = engine_->GetProcedure(prepare.proc_id);
   NEXT700_CHECK(proc != nullptr);  // Checked at dispatch.
@@ -1073,26 +1093,13 @@ void Server::RunPrepare(int worker_id, WorkItem* item) {
   completion.conn_id = ack_conn_id;
   completion.seq = ack_seq;
   EncodeDecisionAck(ack, &completion.encoded);
-  const Lsn outcome_lsn =
-      do_commit && ack.status == StatusCode::kOk ? txn->commit_lsn() : 0;
-  if (outcome_lsn > 0 && log != nullptr && engine_->options().sync_commit) {
-    // Decision durable before ack: the commit outcome record must be on
-    // disk before the coordinator may forget the transaction.
-    bool held = false;
-    {
-      MutexLock lock(&held_mu_);
-      if (ReleaseWatermark(log->durable_lsn()) < outcome_lsn) {
-        held_replies_.push(HeldReply{outcome_lsn, std::move(completion)});
-        held = true;
-      }
-    }
-    if (held) {
-      stats_.replies_held_durable.fetch_add(1, std::memory_order_relaxed);
-      ReleaseDurable(ReleaseWatermark(log->durable_lsn()));
-    } else {
-      PushCompletion(std::move(completion));
-    }
-  } else {
+  // Decision durable before ack: the commit outcome record must be on disk
+  // before the coordinator may forget the transaction.
+  const Lsn outcome_lsn = do_commit && ack.status == StatusCode::kOk &&
+                                  engine_->options().sync_commit
+                              ? txn->commit_lsn()
+                              : 0;
+  if (!HoldUntilDurable(outcome_lsn, &completion)) {
     PushCompletion(std::move(completion));
   }
 }

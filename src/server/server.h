@@ -10,16 +10,42 @@
 ///   event-loop thread    owns an io::IoBackend (io_uring or batched
 ///                        epoll); submits accepts/reads/writev batches,
 ///                        reaps completions, decodes frames, dispatches,
-///                        releases ordered responses
+///                        releases ordered responses; runs a request
+///                        itself when a worker would sit idle anyway
+///                        (run-to-completion, below)
 ///   worker pool          executes stored procedures via
 ///                        Engine::RunProcedureDeferred; per-partition
 ///                        queue affinity for H-Store compositions
 ///                        (queue-oriented dispatch), shared run queue
-///                        otherwise
+///                        otherwise. Workers take pipelined bursts, queued
+///                        overflow and every 2PC Prepare
 ///   log flusher          (owned by the engine's LogManager) releases
 ///                        held responses when their commit LSN becomes
 ///                        durable — a client never observes a commit the
 ///                        log could still lose
+///
+/// Run-to-completion: handing a few-microsecond transaction to a sleeping
+/// worker costs two cross-thread wake-ups, a futex wake there and an
+/// eventfd write back. So DispatchRequest runs a request on the event loop
+/// itself when all of these hold:
+///  - the target WorkQueue is empty and one of its workers is parked on
+///    its cv (nobody would run the request sooner);
+///  - the request is the last frame buffered on its connection, so a
+///    pipelined burst still fans out across the workers;
+///  - no Prepare is queued, running or parked. A prepared branch holds its
+///    locks until a decision frame that only the loop can read; an inline
+///    transaction that met one of those locks (OCC spins on it, 2PL waits)
+///    would wedge the loop that has to deliver the decision;
+///  - the server is not a replica (replicas keep worker dispatch).
+/// The loop then runs under the engine thread id of the parked worker,
+/// borrowed under the queue's mutex, so EngineOptions::max_threads ==
+/// num_workers stays valid and H-Store keeps its partition -> worker
+/// mapping. Borrowing is safe because only the loop enqueues: while it
+/// holds the slot, that worker cannot be handed work. Workers and the loop
+/// share one execution path (ExecuteRequest), so held-reply durability,
+/// admission (the in-flight budget), in-doubt fencing and per-connection
+/// reply order are the same either way; an inline reply that need not wait
+/// for the log goes out in the same reap batch.
 ///
 /// I/O batching: responses completed during one reap batch accumulate in
 /// per-connection frame queues; at batch end each dirty connection gets a
@@ -121,7 +147,8 @@ struct ServerOptions {
   /// 0 binds an ephemeral port; the bound port is available via port().
   uint16_t port = 0;
   /// Worker pool size; the engine must be built with max_threads >= this,
-  /// and no other thread may use engine thread ids [0, num_workers).
+  /// and no other thread may use engine thread ids [0, num_workers) (the
+  /// event loop borrows a parked worker's id to run a request itself).
   int num_workers = 4;
   /// Server-wide budget of decoded-but-unanswered requests. Reads pause
   /// when it fills.
@@ -147,12 +174,14 @@ struct ServerOptions {
 };
 
 /// Monotonic counters, updated with relaxed atomics (read for reports).
-/// The first group is written only by the event-loop thread; the worker-
-/// written counter sits on its own cache line so workers never invalidate
-/// the loop's line.
+/// The first group is written only by the event-loop thread; the counter
+/// written by whichever thread executed a request sits on its own cache
+/// line so workers never invalidate the loop's line.
 struct ServerStats {
   std::atomic<uint64_t> connections_accepted{0};
   std::atomic<uint64_t> requests_dispatched{0};
+  /// Of requests_dispatched, those the event loop ran itself.
+  std::atomic<uint64_t> requests_inline{0};
   std::atomic<uint64_t> responses_sent{0};
   std::atomic<uint64_t> protocol_errors{0};     // Malformed frames/bodies.
   std::atomic<uint64_t> connections_dropped{0};  // Unrecoverable streams.
@@ -236,6 +265,9 @@ class Server {
     Mutex mu;
     CondVar cv;
     std::deque<WorkItem> items GUARDED_BY(mu);
+    /// Engine thread ids of this queue's workers waiting on cv: the ids
+    /// the event loop may borrow to run a request itself.
+    std::vector<int> parked GUARDED_BY(mu);
     bool stopped GUARDED_BY(mu) = false;
   };
 
@@ -253,6 +285,17 @@ class Server {
 
   void EventLoop();
   void WorkerLoop(int worker_id);
+  /// Runs one Request item as engine thread `thread_id` (a worker's own id,
+  /// or one the event loop borrowed) and encodes its reply. Returns true
+  /// with `*ready` filled when the reply may go out now; false when the
+  /// reply was parked until its commit LSN is durable.
+  bool ExecuteRequest(int thread_id, const WorkItem& item,
+                      Completion* ready);
+  /// Group-commit-aware reply release: parks `*completion` in
+  /// held_replies_ until the release watermark (local durability, plus a
+  /// replica ack in semisync mode) reaches `lsn`. Returns false, leaving
+  /// the completion untouched, when there is nothing to wait for.
+  bool HoldUntilDurable(Lsn lsn, Completion* completion);
 
   /// A completed accept: set up the connection and submit its first read.
   void HandleAccept(int fd);
@@ -396,6 +439,11 @@ class Server {
   bool prepared_stop_ GUARDED_BY(prepared_mu_) = false;
   /// Successful prepares so far (the crash_after_prepares trigger).
   std::atomic<uint64_t> prepares_done_{0};
+  /// Prepares queued, running or parked: the event loop runs no request
+  /// itself while this is nonzero (it could meet a prepared branch's lock).
+  /// Raised only by the loop at enqueue, lowered by the worker once the
+  /// branch has released its locks.
+  std::atomic<uint32_t> prepares_active_{0};
 };
 
 }  // namespace server

@@ -162,11 +162,14 @@ TEST_F(MvtoTest, ConcurrentReadersAndWritersKeepSnapshots) {
     stop = true;
   });
   std::vector<std::thread> readers;
+  int post_initial[2] = {0, 0};
   for (int r = 1; r <= 2; ++r) {
     readers.emplace_back([&, r] {
-      Rng rng(static_cast<uint64_t>(r));
       uint8_t buf[8];
-      while (!stop.load()) {
+      // Keep reading until the writer is done and this reader has seen at
+      // least one of its snapshots, so the check below never passes vacuously
+      // on a reader that was scheduled too late to observe the writer.
+      while (!stop.load() || post_initial[r - 1] == 0) {
         TxnContext* txn = engine_->Begin(r);
         Status s = engine_->Read(txn, index_, 6, buf);
         uint64_t a = 0, b = 0;
@@ -180,11 +183,12 @@ TEST_F(MvtoTest, ConcurrentReadersAndWritersKeepSnapshots) {
           engine_->Abort(txn);
           continue;
         }
-        // Initial values are 106/107, then i/i; only compare once both
-        // keys left their initial state.
-        if (a > 10 && b > 10 && a != b) ++torn;
-        if (a == b && a > 0) {
-          // Consistent snapshot observed; nothing else to assert.
+        // The only consistent snapshots are the initial image (106, 107)
+        // and the writer's (i, i); any other pair mixes two snapshots.
+        if (a == b) {
+          ++post_initial[r - 1];
+        } else if (a != 106 || b != 107) {
+          ++torn;
         }
       }
     });
@@ -192,6 +196,8 @@ TEST_F(MvtoTest, ConcurrentReadersAndWritersKeepSnapshots) {
   writer.join();
   for (auto& t : readers) t.join();
   EXPECT_EQ(torn.load(), 0);
+  EXPECT_GT(post_initial[0], 0);
+  EXPECT_GT(post_initial[1], 0);
 }
 
 }  // namespace

@@ -375,6 +375,150 @@ TEST_P(ServerTest, StopWithConnectedClientsIsClean) {
   service.server->Stop();  // Idempotent.
 }
 
+/// The RMW counter of `key` carried in a kKvGet reply (seeded with the key).
+uint64_t CounterOf(const Response& response) {
+  uint64_t counter = 0;
+  if (response.payload.size() >= sizeof(counter)) {
+    std::memcpy(&counter, response.payload.data(), sizeof(counter));
+  }
+  return counter;
+}
+
+TEST_P(ServerTest, DepthOneRequestsRunOnTheEventLoop) {
+  ServerOptions srv;
+  srv.num_workers = 2;
+  Service service = StartService(CcScheme::kOcc, LoggingKind::kValue, srv);
+  LogManager* log = service.engine->log_manager();
+  ASSERT_NE(log, nullptr);
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", service.server->port()).ok());
+  constexpr uint64_t kKey = 17;
+  uint64_t expected = kKey;  // The RMW counter seed.
+  for (uint64_t i = 0; i < 100; ++i) {
+    Response response;
+    if (i % 2 == 0) {
+      ASSERT_TRUE(client.Call(RmwRequest(i, kKey), &response).ok());
+      ASSERT_EQ(response.status, StatusCode::kOk);
+      ++expected;
+      // An inline write still waits for group commit before its reply.
+      EXPECT_GT(response.commit_lsn, 0u);
+      EXPECT_LE(response.commit_lsn, log->durable_lsn());
+    } else {
+      ASSERT_TRUE(client.Call(GetRequest(i, kKey), &response).ok());
+      ASSERT_EQ(response.status, StatusCode::kOk);
+      EXPECT_EQ(CounterOf(response), expected);
+    }
+  }
+  EXPECT_GT(service.server->stats().requests_inline.load(), 0u);
+}
+
+TEST_P(ServerTest, RequestsNeverRunInlineBesideAParkedPrepare) {
+  // A prepared branch holds its locks until a decision frame that only the
+  // event loop can read. A get of a locked key must therefore wait on a
+  // worker: run on the loop, it would spin (OCC) or block (2PL) and the
+  // decision would never be read.
+  for (const CcScheme scheme : {CcScheme::kOcc, CcScheme::kDlDetect}) {
+    ServerOptions srv;
+    srv.num_workers = 2;
+    Service service = StartService(scheme, LoggingKind::kValue, srv);
+    constexpr uint64_t kKey = 11;
+    constexpr uint64_t kOther = 12;
+    constexpr uint64_t kGtid = 7001;
+
+    Client coordinator;
+    ASSERT_TRUE(coordinator
+                    .Connect("127.0.0.1", service.server->port(),
+                             PeerRole::kCoordinator)
+                    .ok());
+    Prepare prepare;
+    prepare.gtid = kGtid;
+    prepare.proc_id = kKvRmw;
+    WireWriter args(&prepare.args);
+    args.PutU16(1);
+    args.PutU64(kKey);
+    std::vector<uint8_t> wire;
+    EncodePrepare(prepare, &wire);
+    ASSERT_TRUE(coordinator.SendRaw(wire.data(), wire.size()).ok());
+    FrameType type;
+    std::vector<uint8_t> body;
+    ASSERT_TRUE(coordinator.RecvFrame(&type, &body).ok());
+    ASSERT_EQ(type, FrameType::kVote);
+    Vote vote;
+    ASSERT_TRUE(DecodeVote(body.data(), body.size(), &vote).ok());
+    ASSERT_EQ(vote.status, StatusCode::kOk) << CcSchemeName(scheme);
+
+    // get(K) arrives alone on an idle server: every other condition for
+    // running it on the loop holds.
+    Client client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", service.server->port()).ok());
+    ASSERT_TRUE(client.Send(GetRequest(1, kKey)).ok());
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    ASSERT_TRUE(client.Send(GetRequest(2, kOther)).ok());
+
+    wire.clear();
+    EncodeDecision(FrameType::kCommitDecision, Decision{kGtid}, &wire);
+    ASSERT_TRUE(coordinator.SendRaw(wire.data(), wire.size()).ok());
+    // Well inside the 2PL lock-wait timeout, so a blocked loop shows here.
+    const Status acked =
+        coordinator.RecvFrame(&type, &body, /*deadline_ms=*/1500);
+    if (!acked.ok()) {
+      // The loop is wedged behind the branch's lock, so Stop() would join
+      // it forever: leave the service running and fail.
+      (void)service.server.release();
+      (void)service.engine.release();
+      FAIL() << CcSchemeName(scheme)
+             << ": no DecisionAck, the event loop is blocked: "
+             << acked.ToString();
+    }
+    ASSERT_EQ(type, FrameType::kDecisionAck);
+    DecisionAck ack;
+    ASSERT_TRUE(DecodeDecisionAck(body.data(), body.size(), &ack).ok());
+    EXPECT_EQ(ack.status, StatusCode::kOk);
+
+    Response response;
+    ASSERT_TRUE(client.Recv(&response).ok());
+    ASSERT_EQ(response.status, StatusCode::kOk) << CcSchemeName(scheme);
+    EXPECT_EQ(CounterOf(response), kKey + 1) << CcSchemeName(scheme);
+    ASSERT_TRUE(client.Recv(&response).ok());
+    EXPECT_EQ(response.status, StatusCode::kOk) << CcSchemeName(scheme);
+    EXPECT_EQ(CounterOf(response), kOther) << CcSchemeName(scheme);
+  }
+}
+
+TEST_P(ServerTest, PipelinedBurstFansOutToWorkers) {
+  ServerOptions srv;
+  srv.num_workers = 2;
+  Service service = StartService(CcScheme::kOcc, LoggingKind::kNone, srv);
+  const ServerStats& stats = service.server->stats();
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", service.server->port()).ok());
+  constexpr int kBursts = 20;
+  constexpr int kDepth = 16;
+  for (int burst = 0; burst < kBursts; ++burst) {
+    // One write, so the server decodes the whole burst from one read:
+    // only its last frame may run on the event loop.
+    std::vector<uint8_t> wire;
+    for (int i = 0; i < kDepth; ++i) {
+      EncodeRequest(GetRequest(static_cast<uint64_t>(burst * kDepth + i),
+                               static_cast<uint64_t>(i)),
+                    &wire);
+    }
+    const uint64_t inline_before = stats.requests_inline.load();
+    ASSERT_TRUE(client.SendRaw(wire.data(), wire.size()).ok());
+    for (int i = 0; i < kDepth; ++i) {
+      Response response;
+      ASSERT_TRUE(client.Recv(&response).ok());
+      EXPECT_EQ(response.request_id,
+                static_cast<uint64_t>(burst * kDepth + i));
+      EXPECT_EQ(response.status, StatusCode::kOk);
+    }
+    EXPECT_LE(stats.requests_inline.load() - inline_before, 1u)
+        << "burst " << burst;
+  }
+  EXPECT_EQ(stats.requests_dispatched.load(),
+            static_cast<uint64_t>(kBursts * kDepth));
+}
+
 INSTANTIATE_TEST_SUITE_P(
     IoBackends, ServerTest,
     ::testing::Values(io::IoBackendKind::kEpoll, io::IoBackendKind::kUring),

@@ -449,9 +449,10 @@ int RunServe(Flags* flags) {
   std::printf("\nconnections accepted: %llu\n",
               static_cast<unsigned long long>(
                   stats.connections_accepted.load()));
-  std::printf("requests dispatched:  %llu\n",
+  std::printf("requests dispatched:  %llu (%llu run on the event loop)\n",
               static_cast<unsigned long long>(
-                  stats.requests_dispatched.load()));
+                  stats.requests_dispatched.load()),
+              static_cast<unsigned long long>(stats.requests_inline.load()));
   std::printf("responses sent:       %llu\n",
               static_cast<unsigned long long>(stats.responses_sent.load()));
   std::printf("protocol errors:      %llu\n",
