@@ -90,7 +90,12 @@ class IoBackend {
 
   /// Arms a persistent (multishot) accept on `listen_fd`: every accepted
   /// socket arrives as an Op::kAccept completion carrying the new fd,
-  /// already nonblocking and close-on-exec. Re-arming is internal.
+  /// already nonblocking and close-on-exec. Re-arming is internal, also
+  /// after a failure: a negative result (-EMFILE, -ENFILE, ...) is one
+  /// failed accept, and the listener stays armed. An owner that cannot
+  /// make progress disarms it with CancelFd(listen_fd) and calls
+  /// SubmitAccept again later, or a level-triggered backlog reports the
+  /// same failure on every Reap.
   virtual Status SubmitAccept(int listen_fd, uint64_t user_data) = 0;
 
   /// One outstanding read of up to `len` bytes into `buf`. Completes with

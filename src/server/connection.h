@@ -2,10 +2,11 @@
 #define NEXT700_SERVER_CONNECTION_H_
 
 /// \file
-/// Per-connection state of the networked transaction service. A Connection
-/// is owned and touched exclusively by the server's event-loop thread, so
-/// it needs no internal locking; worker threads hand results back through
-/// the server's completion queue, never through the connection directly.
+/// Per-connection state of the networked transaction service and the shard
+/// router. A Connection is owned and touched exclusively by its EventLoop's
+/// thread (event_loop.h), so it needs no internal locking; worker threads
+/// hand results back through their owner's completion queue, never through
+/// the connection directly.
 ///
 /// Pipelining contract: a client may have many requests in flight, and the
 /// server executes them on concurrent workers, so completions arrive out of
@@ -119,11 +120,11 @@ class Connection {
   struct iovec* iov() { return iov_; }
 
   /// New frames were queued this event-loop batch; a writev submission is
-  /// owed at batch end (the server's dirty list).
+  /// owed at batch end (the loop's dirty list).
   bool flush_pending() const { return flush_pending_; }
   void set_flush_pending(bool v) { flush_pending_ = v; }
 
-  /// Read buffer the outstanding SubmitRead targets; allocated lazily on
+  /// Read buffer the outstanding read targets; allocated lazily on
   /// first use and owned by the connection (it must outlive any in-flight
   /// read, which connection teardown guarantees via CancelFd-before-free).
   uint8_t* EnsureReadBuffer(size_t len);

@@ -1,0 +1,303 @@
+#include "server/event_loop.h"
+
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cerrno>
+#include <cstring>
+
+#include "common/stats.h"
+
+namespace next700 {
+namespace server {
+
+namespace {
+
+constexpr uint64_t kAcceptUd = 1;
+uint64_t ReadUd(uint64_t conn_id) { return conn_id << 1; }
+uint64_t WriteUd(uint64_t conn_id) { return (conn_id << 1) | 1; }
+
+/// Socket read buffer per connection (one outstanding read each).
+constexpr size_t kReadBufBytes = 64 * 1024;
+constexpr int kMaxEvents = 256;
+constexpr int kListenBacklog = 128;
+
+constexpr uint64_t kAcceptBackoffMinMs = 10;
+constexpr uint64_t kAcceptBackoffMaxMs = 200;
+
+uint64_t MonotonicMs() { return NowNanos() / 1000000; }
+
+}  // namespace
+
+Status EventLoop::Create(io::IoBackendKind kind, Handler* handler,
+                         LoopStats* stats, std::unique_ptr<EventLoop>* out) {
+  std::unique_ptr<EventLoop> loop(new EventLoop(handler, stats));
+  NEXT700_RETURN_IF_ERROR(io::CreateIoBackend(kind, &loop->io_));
+  *out = std::move(loop);
+  return Status::OK();
+}
+
+EventLoop::~EventLoop() {
+  Stop();
+  for (auto& [id, conn] : connections_) {
+    (void)id;
+    ::close(conn->fd());
+  }
+  if (listen_fd_ >= 0) ::close(listen_fd_);
+}
+
+Status EventLoop::Listen(const std::string& host, uint16_t port) {
+  listen_fd_ =
+      ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+  if (listen_fd_ < 0) return Status::IOError("socket() failed");
+  const int one = 1;
+  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  sockaddr_in addr;
+  std::memset(&addr, 0, sizeof(addr));
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
+    return Status::InvalidArgument("bad listen address: " + host);
+  }
+  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
+          0 ||
+      ::listen(listen_fd_, kListenBacklog) < 0) {
+    return Status::IOError("bind/listen failed: " +
+                           std::string(strerror(errno)));
+  }
+  socklen_t addr_len = sizeof(addr);
+  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &addr_len);
+  port_ = ntohs(addr.sin_port);
+  // Armed here, before the loop thread exists, so the single-owner
+  // contract holds and a failure reaches the caller.
+  NEXT700_RETURN_IF_ERROR(io_->SubmitAccept(listen_fd_, kAcceptUd));
+  accept_armed_ = true;
+  return Status::OK();
+}
+
+void EventLoop::Start() {
+  stop_.store(false, std::memory_order_release);
+  thread_ = std::thread([this] { Run(); });
+}
+
+void EventLoop::Stop() {
+  if (!thread_.joinable()) return;
+  stop_.store(true, std::memory_order_release);
+  io_->Wakeup();
+  thread_.join();
+}
+
+void EventLoop::Run() {
+  io::IoEvent events[kMaxEvents];
+  while (!stop_.load(std::memory_order_acquire)) {
+    const int timeout_ms = RunTimers();
+    // Batch end: everything that became writable since the last reap goes
+    // out as one writev per connection.
+    FlushDirty();
+    const int n = io_->Reap(events, kMaxEvents, timeout_ms);
+    if (n < 0) break;  // Broken backend; the owner's Stop cleans up.
+    for (int i = 0; i < n; ++i) {
+      const io::IoEvent& event = events[i];
+      switch (event.op) {
+        case io::IoEvent::Op::kWakeup:
+          handler_->OnWakeup();
+          break;
+        case io::IoEvent::Op::kAccept:
+          HandleAccept(event.result);
+          break;
+        case io::IoEvent::Op::kRead:
+          if (Connection* conn = Find(event.user_data >> 1)) {
+            HandleRead(conn, event.result);
+          }
+          break;
+        case io::IoEvent::Op::kWrite:
+          if (Connection* conn = Find(event.user_data >> 1)) {
+            HandleWrite(conn, event.result);
+          }
+          break;
+        case io::IoEvent::Op::kFsync:
+          break;  // The network path never submits fsyncs.
+      }
+    }
+  }
+}
+
+int EventLoop::RunTimers() {
+  const uint64_t now = MonotonicMs();
+  if (listen_fd_ >= 0 && !accept_armed_ && accept_rearm_ms_ <= now) {
+    if (io_->SubmitAccept(listen_fd_, kAcceptUd).ok()) {
+      accept_armed_ = true;
+    } else {
+      accept_rearm_ms_ = now + kAcceptBackoffMaxMs;
+    }
+  }
+  uint64_t next = handler_->RunTimers(now);
+  if (listen_fd_ >= 0 && !accept_armed_) {
+    next = std::min(next, accept_rearm_ms_);
+  }
+  if (next == UINT64_MAX) return -1;  // Nothing timed; block for an event.
+  if (next <= now) return 0;
+  return static_cast<int>(std::min<uint64_t>(next - now, 60 * 1000));
+}
+
+void EventLoop::HandleAccept(int32_t result) {
+  if (result >= 0) {
+    accept_backoff_ms_ = 0;
+    handler_->OnAccept(result);
+    return;
+  }
+  if (result == -ECONNABORTED || result == -EAGAIN || result == -EINTR) {
+    return;  // The peer gave up or a spurious wake; the accept stays armed.
+  }
+  stats_->accept_errors.fetch_add(1, std::memory_order_relaxed);
+  io_->CancelFd(listen_fd_);
+  accept_armed_ = false;
+  accept_backoff_ms_ =
+      accept_backoff_ms_ == 0
+          ? kAcceptBackoffMinMs
+          : std::min(accept_backoff_ms_ * 2, kAcceptBackoffMaxMs);
+  accept_rearm_ms_ = MonotonicMs() + accept_backoff_ms_;
+}
+
+Connection* EventLoop::AddOutbound(int fd) {
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  const uint64_t id = next_id_++;
+  auto conn = std::make_unique<Connection>(fd, id);
+  Connection* raw = conn.get();
+  connections_.emplace(id, std::move(conn));
+  return raw;
+}
+
+void EventLoop::Adopt(int fd, bool read_paused) {
+  Connection* conn = AddOutbound(fd);  // Registration, plus the first read.
+  conn->set_read_paused(read_paused);
+  StartRead(conn);
+}
+
+void EventLoop::StartRead(Connection* conn) {
+  if (conn->read_inflight() || conn->read_paused() || conn->draining()) {
+    return;
+  }
+  uint8_t* buf = conn->EnsureReadBuffer(kReadBufBytes);
+  const Status submitted = io_->SubmitRead(conn->fd(), buf,
+                                           conn->read_buf_len(),
+                                           ReadUd(conn->id()));
+  if (!submitted.ok()) {
+    Close(conn);
+    return;
+  }
+  conn->set_read_inflight(true);
+}
+
+void EventLoop::HandleRead(Connection* conn, int32_t result) {
+  conn->set_read_inflight(false);
+  if (result == 0) {
+    // Peer half-closed: finish buffered work, flush replies, then close.
+    if (!handler_->OnPeerEof(conn)) return;
+    conn->set_draining();
+    if (handler_->OnFrames(conn)) MaybeCloseDrained(conn);
+    return;
+  }
+  if (result < 0) {
+    if (result == -EAGAIN || result == -EINTR) {
+      StartRead(conn);  // Spurious readiness or signal: re-arm.
+    } else {
+      Close(conn);
+    }
+    return;
+  }
+  conn->decoder()->Feed(conn->read_buf(), static_cast<size_t>(result));
+  if (handler_->OnFrames(conn)) StartRead(conn);
+}
+
+void EventLoop::MarkDirty(Connection* conn) {
+  if (conn->flush_pending()) return;
+  conn->set_flush_pending(true);
+  dirty_.push_back(conn->id());
+}
+
+void EventLoop::FlushDirty() {
+  // Swap first: StartWrite may close connections while iterating.
+  std::vector<uint64_t> dirty;
+  dirty.swap(dirty_);
+  for (const uint64_t id : dirty) {
+    Connection* conn = Find(id);
+    if (conn == nullptr) continue;  // Closed earlier this batch.
+    conn->set_flush_pending(false);
+    if (!conn->write_inflight() && conn->has_pending_writes()) {
+      StartWrite(conn);
+    }
+  }
+}
+
+bool EventLoop::StartWrite(Connection* conn) {
+  const int iovcnt = conn->BuildIovec(conn->iov());
+  if (iovcnt == 0) return true;
+  const Status submitted = io_->SubmitWritev(conn->fd(), conn->iov(), iovcnt,
+                                             WriteUd(conn->id()));
+  if (!submitted.ok()) {
+    Close(conn);
+    return false;
+  }
+  conn->set_write_inflight(true);
+  stats_->writev_batches.fetch_add(1, std::memory_order_relaxed);
+  stats_->frames_batched.fetch_add(static_cast<uint64_t>(iovcnt),
+                                   std::memory_order_relaxed);
+  return true;
+}
+
+void EventLoop::HandleWrite(Connection* conn, int32_t result) {
+  conn->set_write_inflight(false);
+  if (result < 0) {
+    if (result == -EAGAIN || result == -EINTR) {
+      StartWrite(conn);  // Spurious readiness or signal: resubmit as-is.
+    } else {
+      Close(conn);
+    }
+    return;
+  }
+  conn->ConsumeWritten(static_cast<size_t>(result));
+  if (conn->has_pending_writes()) {
+    // Partial writev (socket buffer filled mid-gather, or more frames than
+    // kMaxIov): resume from the first unsent byte.
+    if (!StartWrite(conn)) return;
+  } else if (!handler_->OnWriteDrained(conn) || MaybeCloseDrained(conn)) {
+    return;
+  }
+  // Arms an outbound connection's first read; a no-op elsewhere.
+  StartRead(conn);
+}
+
+size_t EventLoop::FlushReplies(Connection* conn) {
+  const size_t released = conn->FlushOrdered();
+  if (conn->has_pending_writes() && !conn->write_inflight()) MarkDirty(conn);
+  MaybeCloseDrained(conn);
+  return released;
+}
+
+bool EventLoop::MaybeCloseDrained(Connection* conn) {
+  if (conn->draining() && conn->pending_responses() == 0 &&
+      !conn->has_pending_writes() && !conn->write_inflight() &&
+      conn->decoder()->buffered_bytes() == 0) {
+    Close(conn);
+    return true;
+  }
+  return false;
+}
+
+void EventLoop::Close(Connection* conn) {
+  auto it = connections_.find(conn->id());
+  std::unique_ptr<Connection> owned = std::move(it->second);
+  connections_.erase(it);
+  io_->CancelFd(owned->fd());
+  ::close(owned->fd());
+  handler_->OnClosed(owned.get());
+}
+
+}  // namespace server
+}  // namespace next700

@@ -1,0 +1,191 @@
+#ifndef NEXT700_SERVER_EVENT_LOOP_H_
+#define NEXT700_SERVER_EVENT_LOOP_H_
+
+/// \file
+/// The connection loop shared by the transaction server and the shard
+/// router: one thread driving one io::IoBackend over a table of framed
+/// Connections. The loop owns the mechanics; its owner supplies the
+/// protocol through Handler hooks.
+///
+///  - Accept policy: ECONNABORTED/EAGAIN/EINTR are ignored (the accept
+///    stays armed). Any other failure (EMFILE, ENFILE, ENOMEM, ...) is
+///    counted in LoopStats::accept_errors, disarms the listener through
+///    CancelFd, and re-arms it after a doubling backoff (10 -> 200 ms)
+///    carried by the reap timeout. A level-triggered listener would
+///    otherwise report the same failure on every reap and spin a core
+///    until an fd frees.
+///  - Reads: one outstanding read per connection. A completion feeds the
+///    decoder and calls OnFrames; EAGAIN/EINTR re-arm; any other error
+///    closes. EOF drains the connection: a draining connection closes once
+///    every admitted request is answered and written.
+///  - Writes: connections marked dirty during a reap batch get one writev
+///    each at batch end, gathering up to Connection::kMaxIov frames, so a
+///    pipelined client at depth d costs ~1 write syscall per batch instead
+///    of d; a short writev resumes from the first unsent byte. Any write
+///    completion also arms a missing read, which is how an outbound
+///    connection gets its first read once its connect has completed.
+///  - Close: CancelFd before close(2): the fd number may be reused by the
+///    next accept, and the read buffer dies with the connection.
+///  - user_data: the accept carries 1; reads and writes carry
+///    (connection id << 1 | is_write). Ids start at 1 and are never
+///    reused, so a completion for a closed connection finds nothing.
+///
+/// Threading: once Start()ed, everything but Wakeup() and the counters
+/// belongs to the loop thread; before Start() and after Stop() the owner
+/// thread may call anything.
+
+#include <atomic>
+#include <cstdint>
+#include <memory>
+#include <string>
+#include <thread>
+#include <unordered_map>
+#include <vector>
+
+#include "common/status.h"
+#include "io/io_backend.h"
+#include "server/connection.h"
+
+namespace next700 {
+namespace server {
+
+/// Counters every loop keeps (relaxed atomics, loop-thread written).
+/// ServerStats and ShardRouterStats derive from this, so the names below
+/// read the same on both.
+struct LoopStats {
+  /// Accept failures that disarmed the listener for a backoff.
+  std::atomic<uint64_t> accept_errors{0};
+  /// writev submissions issued, and the frames they gathered: the ratio
+  /// is the reply-batching factor (frames/writev >> 1 under pipelining).
+  std::atomic<uint64_t> writev_batches{0};
+  std::atomic<uint64_t> frames_batched{0};
+};
+
+class EventLoop {
+ public:
+  using ConnectionMap =
+      std::unordered_map<uint64_t, std::unique_ptr<Connection>>;
+
+  /// The owner's protocol. Every hook runs on the loop thread.
+  class Handler {
+   public:
+    virtual ~Handler() = default;
+    /// The listener accepted `fd` (nonblocking, close-on-exec). Adopt it
+    /// here or hand it to another loop.
+    virtual void OnAccept(int fd) = 0;
+    /// New bytes were fed into conn's decoder. Returns false if it closed
+    /// `conn` (the loop then arms no read).
+    virtual bool OnFrames(Connection* conn) = 0;
+    /// The peer closed its side of the stream. Returns true to drain it
+    /// (answer what is buffered and admitted, then close), false if the
+    /// hook closed `conn` itself.
+    virtual bool OnPeerEof(Connection*) { return true; }
+    /// conn's outbound queue fully drained. Returns false if it closed
+    /// `conn`.
+    virtual bool OnWriteDrained(Connection*) { return true; }
+    /// `conn` has left the table and its fd is closed; it is freed when
+    /// the hook returns.
+    virtual void OnClosed(Connection*) {}
+    /// Another thread called Wakeup().
+    virtual void OnWakeup() {}
+    /// Runs the owner's timers due at `now_ms` (monotonic) and returns its
+    /// next deadline, or UINT64_MAX for none. Called once per reap batch.
+    virtual uint64_t RunTimers(uint64_t /*now_ms*/) { return UINT64_MAX; }
+  };
+
+  /// Builds a loop on a fresh backend of `kind` (kUring fails where the
+  /// kernel lacks a usable ring). `handler` and `stats` must outlive it.
+  static Status Create(io::IoBackendKind kind, Handler* handler,
+                       LoopStats* stats, std::unique_ptr<EventLoop>* out);
+
+  /// Stops the thread, then closes every connection and the listener.
+  ~EventLoop();
+  EventLoop(const EventLoop&) = delete;
+  EventLoop& operator=(const EventLoop&) = delete;
+
+  /// Binds `host:port` (0 = ephemeral), listens, and arms the accept.
+  /// Call before Start().
+  Status Listen(const std::string& host, uint16_t port);
+  /// Port actually bound (after Listen).
+  uint16_t port() const { return port_; }
+
+  /// Starts the loop thread.
+  void Start();
+  /// Stops and joins the loop thread; connections stay open until the loop
+  /// is destroyed. Idempotent.
+  void Stop();
+
+  /// Thread-safe: surfaces as OnWakeup on the loop thread.
+  void Wakeup() { io_->Wakeup(); }
+  const io::IoBackend& io() const { return *io_; }
+
+  /// Registers an accepted socket and arms its first read (unless
+  /// `read_paused`). The connection may already be closed on return.
+  void Adopt(int fd, bool read_paused = false);
+  /// Registers a dialled socket (connect possibly still in progress). No
+  /// read is armed until its first write completes: queue the opening
+  /// frames and MarkDirty it.
+  Connection* AddOutbound(int fd);
+
+  /// Null once the connection has closed.
+  Connection* Find(uint64_t id) const {
+    auto it = connections_.find(id);
+    return it == connections_.end() ? nullptr : it->second.get();
+  }
+  const ConnectionMap& connections() const { return connections_; }
+
+  /// Arms conn's read unless one is outstanding or it is read-paused or
+  /// draining. May close `conn`.
+  void StartRead(Connection* conn);
+  /// Owes `conn` a writev at the end of the reap batch.
+  void MarkDirty(Connection* conn);
+  /// Moves conn's in-order replies to its outbound queue, marks it dirty,
+  /// and closes it if drained. Returns the replies released.
+  size_t FlushReplies(Connection* conn);
+  /// Closes a draining connection with nothing left to answer or write.
+  /// Returns true if it closed `conn`.
+  bool MaybeCloseDrained(Connection* conn);
+  /// Cancels conn's pending operations, closes its fd, removes it from the
+  /// table, calls OnClosed, and frees it.
+  void Close(Connection* conn);
+
+ private:
+  EventLoop(Handler* handler, LoopStats* stats)
+      : handler_(handler), stats_(stats) {}
+
+  void Run();
+  /// Re-arms a backed-off accept when due, runs the owner's timers, and
+  /// returns the reap timeout that wakes the loop for the next deadline.
+  int RunTimers();
+  void HandleAccept(int32_t result);
+  void HandleRead(Connection* conn, int32_t result);
+  void HandleWrite(Connection* conn, int32_t result);
+  /// Batch end: one writev per dirty connection with queued frames.
+  void FlushDirty();
+  /// Submits one writev gathering conn's queued frames. Returns false if a
+  /// submission failure closed `conn`.
+  bool StartWrite(Connection* conn);
+
+  Handler* handler_;
+  LoopStats* stats_;
+  std::unique_ptr<io::IoBackend> io_;
+  std::thread thread_;
+  std::atomic<bool> stop_{false};
+
+  ConnectionMap connections_;
+  uint64_t next_id_ = 1;
+  /// Connections owed a writev at batch end (by id: an entry may name a
+  /// connection closed earlier in the same batch).
+  std::vector<uint64_t> dirty_;
+
+  int listen_fd_ = -1;
+  uint16_t port_ = 0;
+  bool accept_armed_ = false;
+  uint64_t accept_rearm_ms_ = 0;
+  uint64_t accept_backoff_ms_ = 0;
+};
+
+}  // namespace server
+}  // namespace next700
+
+#endif  // NEXT700_SERVER_EVENT_LOOP_H_

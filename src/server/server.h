@@ -7,12 +7,12 @@
 ///
 /// Architecture (one process):
 ///
-///   event-loop thread    owns an io::IoBackend (io_uring or batched
-///                        epoll); submits accepts/reads/writev batches,
-///                        reaps completions, decodes frames, dispatches,
-///                        releases ordered responses; runs a request
-///                        itself when a worker would sit idle anyway
-///                        (run-to-completion, below)
+///   event-loop thread    a server::EventLoop (event_loop.h, shared with
+///                        the shard router): owns the sockets, the io
+///                        backend and reply gathering; the server's hooks
+///                        decode frames, dispatch, and release ordered
+///                        responses; runs a request itself when a worker
+///                        would sit idle anyway (run-to-completion, below)
 ///   worker pool          executes stored procedures via
 ///                        Engine::RunProcedureDeferred; per-partition
 ///                        queue affinity for H-Store compositions
@@ -47,12 +47,10 @@
 /// reply order are the same either way; an inline reply that need not wait
 /// for the log goes out in the same reap batch.
 ///
-/// I/O batching: responses completed during one reap batch accumulate in
-/// per-connection frame queues; at batch end each dirty connection gets a
-/// single writev submission gathering up to Connection::kMaxIov frames.
-/// A pipelined client at depth d therefore costs ~1 write syscall per
-/// batch instead of d. The same spine carries replication batches and
-/// (via the LogManager's private ring) the group-commit flush.
+/// I/O batching: responses completed during one reap batch queue on their
+/// connections and leave as one writev per connection at batch end (see
+/// event_loop.h). The same spine carries replication batches and (via the
+/// LogManager's private ring) the group-commit flush.
 ///
 /// Admission control: a bounded server-wide in-flight budget. When the
 /// budget fills the event loop stops resubmitting socket reads
@@ -108,6 +106,7 @@
 #include "common/thread_safety.h"
 #include "io/io_backend.h"
 #include "server/connection.h"
+#include "server/event_loop.h"
 #include "server/protocol.h"
 #include "txn/engine.h"
 
@@ -155,7 +154,6 @@ struct ServerOptions {
   uint32_t max_inflight = 256;
   /// Per-worker-queue bound; enqueue beyond it answers kResourceExhausted.
   size_t queue_capacity = 1024;
-  int listen_backlog = 128;
   /// Network submission backend: kUring demands a raw io_uring (Start()
   /// fails where the kernel lacks one), kEpoll forces the portable
   /// batched-epoll path, kAuto probes uring and falls back.
@@ -174,10 +172,11 @@ struct ServerOptions {
 };
 
 /// Monotonic counters, updated with relaxed atomics (read for reports).
-/// The first group is written only by the event-loop thread; the counter
+/// The first group (and the LoopStats base: accept_errors, writev_batches,
+/// frames_batched) is written only by the event-loop thread; the counter
 /// written by whichever thread executed a request sits on its own cache
 /// line so workers never invalidate the loop's line.
-struct ServerStats {
+struct ServerStats : LoopStats {
   std::atomic<uint64_t> connections_accepted{0};
   std::atomic<uint64_t> requests_dispatched{0};
   /// Of requests_dispatched, those the event loop ran itself.
@@ -196,15 +195,11 @@ struct ServerStats {
   /// to workers, and decision frames received from coordinators.
   std::atomic<uint64_t> prepares_dispatched{0};
   std::atomic<uint64_t> decisions_received{0};
-  /// writev submissions issued, and the frames they gathered: the ratio
-  /// is the reply-batching factor (frames/writev >> 1 under pipelining).
-  std::atomic<uint64_t> writev_batches{0};
-  std::atomic<uint64_t> frames_batched{0};
   NEXT700_CACHE_ALIGNED
   std::atomic<uint64_t> replies_held_durable{0};  // Waited on the flusher.
 };
 
-class Server {
+class Server : private EventLoop::Handler {
  public:
   /// `engine` must outlive the server. Procedures must be registered (and
   /// data loaded) before Start(); registration is not thread-safe.
@@ -215,7 +210,7 @@ class Server {
 
   /// Binds, listens, builds the io backend, and starts the event loop +
   /// workers. Fails if options.io_backend = kUring on a kernel without a
-  /// usable io_uring.
+  /// usable io_uring, or if the listener cannot be bound or armed.
   Status Start();
 
   /// Stops accepting, tears down connections and threads. Idempotent.
@@ -228,11 +223,11 @@ class Server {
   const ServerStats& stats() const { return stats_; }
   /// Network-path io counters (null before Start / after Stop).
   const io::IoCounters* io_counters() const {
-    return io_ == nullptr ? nullptr : &io_->counters();
+    return loop_ == nullptr ? nullptr : &loop_->io().counters();
   }
   /// Resolved backend: "uring" or "epoll" ("none" before Start).
   const char* io_backend_name() const {
-    return io_ == nullptr ? "none" : io_->name();
+    return loop_ == nullptr ? "none" : loop_->io().name();
   }
   Engine* engine() { return engine_; }
 
@@ -283,7 +278,19 @@ class Server {
     bool operator>(const HeldReply& other) const { return lsn > other.lsn; }
   };
 
-  void EventLoop();
+  // EventLoop::Handler hooks (event-loop thread).
+  void OnAccept(int fd) override;
+  /// Decodes and dispatches buffered frames until the stream is drained,
+  /// the budget fills, or the stream turns out to be corrupt. Returns false
+  /// if it closed `conn`.
+  bool OnFrames(Connection* conn) override;
+  /// A drained replica socket reopens the shipping window.
+  bool OnWriteDrained(Connection* conn) override;
+  /// Replica accounting when a subscribed replica leaves.
+  void OnClosed(Connection* conn) override;
+  /// Worker completions, released replies and replica shipping.
+  void OnWakeup() override;
+
   void WorkerLoop(int worker_id);
   /// Runs one Request item as engine thread `thread_id` (a worker's own id,
   /// or one the event loop borrowed) and encodes its reply. Returns true
@@ -297,24 +304,6 @@ class Server {
   /// the completion untouched, when there is nothing to wait for.
   bool HoldUntilDurable(Lsn lsn, Completion* completion);
 
-  /// A completed accept: set up the connection and submit its first read.
-  void HandleAccept(int fd);
-  /// Read/write completions, routed by the conn id packed in user_data.
-  void HandleReadComplete(uint64_t conn_id, int32_t result);
-  void HandleWriteComplete(uint64_t conn_id, int32_t result);
-  /// Submits the (single outstanding) socket read unless paused/draining.
-  void StartRead(Connection* conn);
-  /// Submits one writev gathering the connection's queued frames. May
-  /// close `conn` on submission failure.
-  void StartWrite(Connection* conn);
-  /// Queues `conn` for a writev submission at the end of the reap batch.
-  void MarkDirty(Connection* conn);
-  /// Batch end: one writev per dirty connection with queued frames.
-  void FlushDirty();
-
-  /// Decodes and dispatches buffered frames until the stream is drained,
-  /// the budget fills, or the stream turns out to be corrupt.
-  void DrainFrames(Connection* conn);
   /// Pre-handshake frame handling: accepts exactly one valid Hello, sends
   /// the HelloAck, and records the peer role. Returns false if the
   /// connection was closed (mixed-version or non-next700 peer).
@@ -332,17 +321,27 @@ class Server {
   /// Engine::Prepare, vote, park for the decision, apply it, ack.
   void RunPrepare(int worker_id, WorkItem* item);
   void DispatchRequest(Connection* conn, Request request);
+  /// The checks Requests and Prepares share: kUnavailable while recovered
+  /// in-doubt transactions are unresolved, kNotFound for an unknown
+  /// procedure, else kOk.
+  StatusCode CheckRunnable(uint32_t proc_id);
+  bool PartitionsInRange(const std::vector<uint32_t>& partitions) const;
+  /// Takes an in-flight slot and queues `*item`, or returns why not:
+  /// kUnavailable once stopped, kResourceExhausted (an admission reject)
+  /// when full. With `may_run_inline`, an empty queue with a parked worker
+  /// instead lends that worker's engine thread id through
+  /// `*borrowed_thread` (initially -1) and leaves `*item` to the caller.
+  StatusCode Enqueue(WorkQueue* queue, WorkItem* item, bool may_run_inline,
+                     int* borrowed_thread);
   /// Answers `seq` on `conn` directly from the event loop (protocol errors,
   /// admission rejects) without a round trip through the worker pool.
   void CompleteInline(Connection* conn, uint64_t seq,
                       const Response& response);
   /// Releases ordered responses into the outbound queue and marks the
-  /// connection dirty (actual writev happens at batch end / FlushDirty).
+  /// connection dirty (actual writev happens at batch end).
   void FlushConnection(Connection* conn);
-  /// Closes a draining connection whose work has fully drained. Returns
-  /// true if it closed `conn`.
-  bool MaybeCloseDrained(Connection* conn);
-  void CloseConnection(Connection* conn);
+  /// Counts a dropped stream (protocol error) and closes it.
+  void DropConnection(Connection* conn);
 
   /// Ships durable log bytes to one subscribed replica until its write
   /// buffer reaches the shipping window or the log is drained. May close
@@ -370,41 +369,30 @@ class Server {
   void PauseReads();
   void ResumeReads();
 
-  int WorkerFor(const Request& request);
   int WorkerForPartitions(const std::vector<uint32_t>& partitions);
 
   Engine* engine_;
   ServerOptions options_;
   ServerStats stats_;
 
-  int listen_fd_ = -1;
   uint16_t bound_port_ = 0;
   std::atomic<bool> running_{false};
-  std::atomic<bool> stop_requested_{false};
 
-  /// Submission/completion backend for every socket in this server.
-  /// Submit/Reap/CancelFd are event-loop-thread-only; Wakeup() is the
-  /// one thread-safe entry (workers, log flusher, Stop()).
-  std::unique_ptr<io::IoBackend> io_;
+  /// The connection loop: every socket in this server. Its Wakeup() is the
+  /// one thread-safe entry (workers, log flusher).
+  std::unique_ptr<EventLoop> loop_;
 
-  std::thread loop_thread_;
   std::vector<std::thread> workers_;
   std::vector<std::unique_ptr<WorkQueue>> queues_;
   bool partitioned_dispatch_ = false;
   uint64_t round_robin_ = 0;
 
-  // Event-loop-owned connection table.
-  std::unordered_map<uint64_t, std::unique_ptr<Connection>> connections_;
-  uint64_t next_conn_id_ = 1;
   bool reads_paused_ = false;
   /// Event-loop-owned latch over the recovered in-doubt gate: true while
   /// Engine::has_in_doubt() might still hold, so the steady state never
   /// takes the engine's in-doubt mutex per request. Transitions only
   /// true -> false.
   bool in_doubt_gate_ = false;
-  /// Connections owed a writev submission at batch end (by id: an entry
-  /// may refer to a connection closed earlier in the same batch).
-  std::vector<uint64_t> dirty_;
 
   /// Subscribed replicas (shipper attached). Written by the event loop;
   /// read by the flusher callback and workers for semisync gating.

@@ -2,7 +2,6 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -25,23 +24,9 @@ using server::PeerRole;
 
 namespace {
 
-/// user_data cookies: the accept uses a fixed cookie; reads and writes pack
-/// the connection id (sessions and shard links share one id space per
-/// loop, ids start at 1) with the low bit as the read/write discriminator.
-constexpr uint64_t kAcceptUd = 1;
-uint64_t ReadUd(uint64_t id) { return id << 1; }
-uint64_t WriteUd(uint64_t id) { return (id << 1) | 1; }
-
-constexpr size_t kReadBufBytes = 64 * 1024;
-constexpr int kMaxEvents = 256;
-
 /// Shard-link reconnect backoff (jittered doubling).
 constexpr uint64_t kLinkBackoffMinMs = 20;
 constexpr uint64_t kLinkBackoffMaxMs = 1000;
-/// Accept-error backoff (EMFILE and friends; satellite of the old
-/// busy-spin bug — the listener is disarmed while backing off).
-constexpr uint64_t kAcceptBackoffMinMs = 10;
-constexpr uint64_t kAcceptBackoffMaxMs = 200;
 
 /// Wall-clock nanoseconds — deliberately not the monotonic clock: gtids
 /// must stay unique across router restarts, and the monotonic epoch resets
@@ -116,10 +101,10 @@ struct ShardRouter::ShardLink {
 
   uint32_t shard_id = 0;
   State state = State::kDown;
-  /// The framed transport (outbound queue, decoder, inflight flags);
-  /// null while kDown. A fresh Connection (and a fresh id) per connect
-  /// attempt keeps stale completions from a dead socket unroutable.
-  std::unique_ptr<server::Connection> conn;
+  /// The framed transport, owned by the loop's connection table; null
+  /// while kDown. A fresh Connection (and a fresh id) per connect attempt
+  /// keeps stale completions from a dead socket unroutable.
+  server::Connection* conn = nullptr;
   /// FIFO of what each kUp reply frame answers (shard servers reply in
   /// per-connection request order).
   std::deque<Expectation> expect;
@@ -131,30 +116,56 @@ struct ShardRouter::ShardLink {
   uint64_t rng = 0x9e3779b97f4a7c15ull;
 };
 
-/// One event-loop thread: an IoBackend instance plus every session and
-/// shard link it owns. Only the owning thread touches anything outside
-/// `mu`; other threads reach in through the inbox + Wakeup.
-struct ShardRouter::RouterLoop {
+/// One event-loop thread: a connection loop holding every session and
+/// shard link it owns, and the hooks that give them their protocol. Only
+/// the owning thread touches anything outside `mu`; other threads reach in
+/// through the inbox + Wakeup.
+struct ShardRouter::RouterLoop : server::EventLoop::Handler {
+  ShardRouter* router = nullptr;
   uint32_t index = 0;
-  std::unique_ptr<io::IoBackend> io;
-  std::thread thread;
-
-  uint64_t next_id = 1;
-  std::unordered_map<uint64_t, std::unique_ptr<server::Connection>> sessions;
+  std::unique_ptr<server::EventLoop> net;
   std::vector<std::unique_ptr<ShardLink>> links;  // index == shard id
-  std::unordered_map<uint64_t, ShardLink*> links_by_id;
-  /// Connections owed a writev at batch end (ids; flush_pending dedupes).
-  std::vector<uint64_t> dirty;
-
-  // Accept state (loop 0 only).
-  bool accept_armed = false;
-  uint64_t accept_rearm_deadline_ms = 0;
-  uint64_t accept_backoff_ms = 0;
 
   // Cross-thread inbox, drained on Op::kWakeup.
   Mutex mu;
   std::vector<int> pending_fds GUARDED_BY(mu);
   std::vector<CoordinatorResult> pending_results GUARDED_BY(mu);
+
+  /// The link `conn` belongs to, or null for a client session.
+  ShardLink* LinkOf(const server::Connection* conn) const {
+    for (const auto& link : links) {
+      if (link->conn == conn) return link.get();
+    }
+    return nullptr;
+  }
+
+  /// Loop 0's accepts, round-robined across loops.
+  void OnAccept(int fd) override;
+  bool OnFrames(server::Connection* conn) override {
+    if (ShardLink* link = LinkOf(conn)) {
+      return router->DrainLinkFrames(this, link);
+    }
+    return router->DrainSessionFrames(this, conn);
+  }
+  bool OnPeerEof(server::Connection* conn) override {
+    if (LinkOf(conn) == nullptr) return true;  // A session drains.
+    net->Close(conn);  // The shard hung up.
+    return false;
+  }
+  void OnClosed(server::Connection* conn) override {
+    if (ShardLink* link = LinkOf(conn)) {
+      router->TeardownLink(this, link);
+      return;
+    }
+    // Link expectations and in-flight coordinator jobs that still name this
+    // session id resolve to nothing at lookup time — no dangling state.
+    router->stats_.sessions_closed.fetch_add(1, std::memory_order_relaxed);
+  }
+  /// Adopts handed-over sessions and slots in finished 2PC replies.
+  void OnWakeup() override;
+  /// Redials every down link whose backoff expired; returns the earliest
+  /// remaining retry deadline (UINT64_MAX when every link is connected).
+  uint64_t RunTimers(uint64_t now_ms) override;
 };
 
 /// One blocking 2PC coordinator thread with its own shard connections
@@ -208,9 +219,10 @@ Status ShardRouter::Start() {
   const uint32_t nloops = ResolveNumLoops(options_.num_loops);
   for (uint32_t i = 0; i < nloops; ++i) {
     auto loop = std::make_unique<RouterLoop>();
+    loop->router = this;
     loop->index = i;
-    NEXT700_RETURN_IF_ERROR(
-        io::CreateIoBackend(options_.io_backend, &loop->io));
+    NEXT700_RETURN_IF_ERROR(server::EventLoop::Create(
+        options_.io_backend, loop.get(), &stats_, &loop->net));
     for (uint32_t s = 0; s < num_shards(); ++s) {
       auto link = std::make_unique<ShardLink>();
       link->shard_id = s;
@@ -219,34 +231,10 @@ Status ShardRouter::Start() {
     }
     loops_.push_back(std::move(loop));
   }
-
-  listen_fd_ =
-      ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-  if (listen_fd_ < 0) return Status::IOError("socket() failed");
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options_.listen_port);
-  if (::inet_pton(AF_INET, options_.listen_host.c_str(), &addr.sin_addr) !=
-      1) {
-    return Status::InvalidArgument("bad listen host: " + options_.listen_host);
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
-          0 ||
-      ::listen(listen_fd_, 128) < 0) {
-    return Status::IOError("bind/listen failed: " +
-                           std::string(strerror(errno)));
-  }
-  socklen_t addr_len = sizeof(addr);
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &addr_len);
-  port_ = ntohs(addr.sin_port);
-
-  // Arm loop 0's persistent accept before its thread starts (no
-  // concurrency yet, so the single-owner contract holds).
-  NEXT700_RETURN_IF_ERROR(loops_[0]->io->SubmitAccept(listen_fd_, kAcceptUd));
-  loops_[0]->accept_armed = true;
+  // Loop 0 owns the listener.
+  NEXT700_RETURN_IF_ERROR(
+      loops_[0]->net->Listen(options_.listen_host, options_.listen_port));
+  port_ = loops_[0]->net->port();
 
   stop_.store(false, std::memory_order_release);
   {
@@ -264,16 +252,13 @@ Status ShardRouter::Start() {
     raw->thread = std::thread([this, raw] { CoordinatorRun(raw); });
     coordinators_.push_back(std::move(coord));
   }
-  for (auto& loop : loops_) {
-    RouterLoop* raw = loop.get();
-    raw->thread = std::thread([this, raw] { LoopRun(raw); });
-  }
+  for (auto& loop : loops_) loop->net->Start();
   running_ = true;
   return Status::OK();
 }
 
 void ShardRouter::Stop() {
-  if (loops_.empty() && coordinators_.empty() && listen_fd_ < 0) {
+  if (loops_.empty() && coordinators_.empty()) {
     if (decision_log_ != nullptr) decision_log_->Close();
     return;
   }
@@ -290,12 +275,7 @@ void ShardRouter::Stop() {
     if (coord->thread.joinable()) coord->thread.join();
   }
 
-  for (auto& loop : loops_) {
-    if (loop->io != nullptr) loop->io->Wakeup();
-  }
-  for (auto& loop : loops_) {
-    if (loop->thread.joinable()) loop->thread.join();
-  }
+  for (auto& loop : loops_) loop->net->Stop();
   {
     MutexLock lock(&shards_mu_);
   }
@@ -303,37 +283,24 @@ void ShardRouter::Stop() {
 
   // Loop threads are joined: this thread owns their state now.
   for (auto& loop : loops_) {
-    for (auto& [id, conn] : loop->sessions) {
-      ::close(conn->fd());
-      stats_.sessions_closed.fetch_add(1, std::memory_order_relaxed);
-    }
-    loop->sessions.clear();
-    for (auto& link : loop->links) {
-      if (link->conn != nullptr) {
-        ::close(link->conn->fd());
-        link->conn.reset();
+    for (const auto& [id, conn] : loop->net->connections()) {
+      (void)id;
+      if (loop->LinkOf(conn.get()) == nullptr) {
+        stats_.sessions_closed.fetch_add(1, std::memory_order_relaxed);
       }
     }
-    loop->links_by_id.clear();
     {
       MutexLock lock(&loop->mu);
       for (const int fd : loop->pending_fds) ::close(fd);
       loop->pending_fds.clear();
       loop->pending_results.clear();
     }
-    if (loop->io != nullptr) {
-      io_syscalls_retired_.fetch_add(
-          loop->io->counters().syscalls.load(std::memory_order_relaxed),
-          std::memory_order_relaxed);
-      loop->io.reset();
-    }
+    io_syscalls_retired_.fetch_add(
+        loop->net->io().counters().syscalls.load(std::memory_order_relaxed),
+        std::memory_order_relaxed);
   }
-  loops_.clear();
+  loops_.clear();  // Closes every session, link and the listener.
   coordinators_.clear();
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
   if (decision_log_ != nullptr) decision_log_->Close();
   running_ = false;
 }
@@ -355,273 +322,65 @@ bool ShardRouter::WaitShardsConnected(int64_t timeout_ms) {
 uint64_t ShardRouter::io_syscalls() const {
   uint64_t total = io_syscalls_retired_.load(std::memory_order_relaxed);
   for (const auto& loop : loops_) {
-    if (loop->io != nullptr) {
-      total += loop->io->counters().syscalls.load(std::memory_order_relaxed);
-    }
+    total += loop->net->io().counters().syscalls.load(std::memory_order_relaxed);
   }
   return total;
 }
 
-// --- Event loop ----------------------------------------------------------
+// --- Event loop hooks ---------------------------------------------------
 
-void ShardRouter::LoopRun(RouterLoop* loop) {
-  std::vector<io::IoEvent> events(kMaxEvents);
-  while (!stop_.load(std::memory_order_acquire)) {
-    ProcessTimers(loop);
-    FlushDirty(loop);
-    const int n =
-        loop->io->Reap(events.data(), kMaxEvents, ComputeReapTimeout(loop));
-    if (n < 0) break;  // Broken backend; Stop() cleans up.
-    for (int i = 0; i < n; ++i) {
-      if (stop_.load(std::memory_order_acquire)) return;
-      const io::IoEvent& ev = events[i];
-      switch (ev.op) {
-        case io::IoEvent::Op::kWakeup:
-          DrainInbox(loop);
-          break;
-        case io::IoEvent::Op::kAccept:
-          HandleAccept(loop, ev.result);
-          break;
-        case io::IoEvent::Op::kRead:
-        case io::IoEvent::Op::kWrite: {
-          const uint64_t id = ev.user_data >> 1;
-          const bool is_write = (ev.user_data & 1) != 0;
-          auto sit = loop->sessions.find(id);
-          if (sit != loop->sessions.end()) {
-            server::Connection* conn = sit->second.get();
-            if (is_write) {
-              HandleSessionWrite(loop, conn, ev.result);
-            } else {
-              HandleSessionRead(loop, conn, ev.result);
-            }
-            break;
-          }
-          auto lit = loop->links_by_id.find(id);
-          if (lit != loop->links_by_id.end()) {
-            if (is_write) {
-              HandleLinkWrite(loop, lit->second, ev.result);
-            } else {
-              HandleLinkRead(loop, lit->second, ev.result);
-            }
-          }
-          // Neither: a stale completion for a connection already torn
-          // down. Drop it.
-          break;
-        }
-        case io::IoEvent::Op::kFsync:
-          break;  // The router submits no fsyncs on the loop backends.
-      }
-    }
-  }
-}
-
-int ShardRouter::ComputeReapTimeout(RouterLoop* loop) const {
+uint64_t ShardRouter::RouterLoop::RunTimers(uint64_t now_ms) {
   uint64_t next = UINT64_MAX;
-  for (const auto& link : loop->links) {
+  for (auto& link : links) {
+    if (link->state != ShardLink::State::kDown) continue;
+    if (link->retry_deadline_ms <= now_ms) {
+      router->StartConnectLink(this, link.get());
+    }
     if (link->state == ShardLink::State::kDown) {
       next = std::min(next, link->retry_deadline_ms);
     }
   }
-  if (loop->index == 0 && !loop->accept_armed) {
-    next = std::min(next, loop->accept_rearm_deadline_ms);
-  }
-  if (next == UINT64_MAX) return -1;  // Nothing timed; block until an event.
-  const uint64_t now = MonotonicMs();
-  if (next <= now) return 0;
-  return static_cast<int>(std::min<uint64_t>(next - now, 60 * 1000));
+  return next;
 }
 
-void ShardRouter::ProcessTimers(RouterLoop* loop) {
-  const uint64_t now = MonotonicMs();
-  for (auto& link : loop->links) {
-    if (link->state == ShardLink::State::kDown &&
-        link->retry_deadline_ms <= now) {
-      StartConnectLink(loop, link.get());
-    }
-  }
-  if (loop->index == 0 && !loop->accept_armed &&
-      loop->accept_rearm_deadline_ms <= now) {
-    if (loop->io->SubmitAccept(listen_fd_, kAcceptUd).ok()) {
-      loop->accept_armed = true;
-    } else {
-      loop->accept_rearm_deadline_ms = now + kAcceptBackoffMaxMs;
-    }
-  }
-}
-
-void ShardRouter::DrainInbox(RouterLoop* loop) {
+void ShardRouter::RouterLoop::OnWakeup() {
   std::vector<int> fds;
   std::vector<CoordinatorResult> results;
   {
-    MutexLock lock(&loop->mu);
-    fds.swap(loop->pending_fds);
-    results.swap(loop->pending_results);
+    MutexLock lock(&mu);
+    fds.swap(pending_fds);
+    results.swap(pending_results);
   }
-  for (const int fd : fds) AdoptSession(loop, fd);
+  for (const int fd : fds) {
+    router->stats_.sessions_accepted.fetch_add(1, std::memory_order_relaxed);
+    net->Adopt(fd);
+  }
   for (CoordinatorResult& result : results) {
-    auto it = loop->sessions.find(result.session_id);
-    if (it == loop->sessions.end()) continue;  // Session died mid-2PC.
-    it->second->Complete(result.ticket, std::move(result.encoded));
-    ReleaseSessionReplies(loop, it->second.get());
+    server::Connection* conn = net->Find(result.session_id);
+    if (conn == nullptr) continue;  // Session died mid-2PC.
+    conn->Complete(result.ticket, std::move(result.encoded));
+    net->FlushReplies(conn);
   }
 }
 
-void ShardRouter::MarkDirty(RouterLoop* loop, uint64_t conn_id) {
-  loop->dirty.push_back(conn_id);
-}
-
-void ShardRouter::FlushDirty(RouterLoop* loop) {
-  if (loop->dirty.empty()) return;
-  // Swap first: teardown/error paths may re-dirty connections.
-  std::vector<uint64_t> ids;
-  ids.swap(loop->dirty);
-  for (const uint64_t id : ids) {
-    auto sit = loop->sessions.find(id);
-    if (sit != loop->sessions.end()) {
-      server::Connection* conn = sit->second.get();
-      conn->set_flush_pending(false);
-      if (!conn->write_inflight() && conn->has_pending_writes()) {
-        StartConnWrite(loop, conn);
-      }
-      continue;
-    }
-    auto lit = loop->links_by_id.find(id);
-    if (lit != loop->links_by_id.end()) {
-      ShardLink* link = lit->second;
-      link->conn->set_flush_pending(false);
-      if (!link->conn->write_inflight() && link->conn->has_pending_writes()) {
-        StartConnWrite(loop, link->conn.get());
-      }
-    }
-  }
-}
-
-void ShardRouter::StartConnWrite(RouterLoop* loop, server::Connection* conn) {
-  const int iovcnt = conn->BuildIovec(conn->iov());
-  if (iovcnt == 0) return;
-  const Status submitted = loop->io->SubmitWritev(conn->fd(), conn->iov(),
-                                                  iovcnt, WriteUd(conn->id()));
-  if (!submitted.ok()) {
-    // Surface the failure through the completion path so session close and
-    // link teardown stay in one place.
-    auto lit = loop->links_by_id.find(conn->id());
-    if (lit != loop->links_by_id.end()) {
-      TeardownLink(loop, lit->second);
-    } else {
-      CloseSession(loop, conn->id());
-    }
-    return;
-  }
-  conn->set_write_inflight(true);
-  stats_.writev_batches.fetch_add(1, std::memory_order_relaxed);
-  stats_.frames_batched.fetch_add(static_cast<uint64_t>(iovcnt),
-                                  std::memory_order_relaxed);
-}
-
-// --- Accept path ---------------------------------------------------------
-
-void ShardRouter::HandleAccept(RouterLoop* loop, int32_t result) {
-  if (result < 0) {
-    if (result == -ECONNABORTED || result == -EAGAIN || result == -EINTR) {
-      return;  // The peer gave up or a spurious wake; the accept stays armed.
-    }
-    // EMFILE/ENFILE/ENOMEM...: a level-triggered listener would report
-    // readiness forever, so disarm and re-arm after a growing backoff
-    // instead of spinning a core until an fd frees.
-    stats_.accept_errors.fetch_add(1, std::memory_order_relaxed);
-    loop->io->CancelFd(listen_fd_);
-    loop->accept_armed = false;
-    loop->accept_backoff_ms =
-        loop->accept_backoff_ms == 0
-            ? kAcceptBackoffMinMs
-            : std::min(loop->accept_backoff_ms * 2, kAcceptBackoffMaxMs);
-    loop->accept_rearm_deadline_ms = MonotonicMs() + loop->accept_backoff_ms;
-    return;
-  }
-  loop->accept_backoff_ms = 0;
+void ShardRouter::RouterLoop::OnAccept(int fd) {
   const uint32_t target_index =
-      accept_rr_.fetch_add(1, std::memory_order_relaxed) %
-      static_cast<uint32_t>(loops_.size());
-  RouterLoop* target = loops_[target_index].get();
-  if (target == loop) {
-    AdoptSession(loop, result);
+      router->accept_rr_.fetch_add(1, std::memory_order_relaxed) %
+      static_cast<uint32_t>(router->loops_.size());
+  RouterLoop* target = router->loops_[target_index].get();
+  if (target == this) {
+    router->stats_.sessions_accepted.fetch_add(1, std::memory_order_relaxed);
+    net->Adopt(fd);
     return;
   }
   {
     MutexLock lock(&target->mu);
-    target->pending_fds.push_back(result);
+    target->pending_fds.push_back(fd);
   }
-  target->io->Wakeup();
-}
-
-void ShardRouter::AdoptSession(RouterLoop* loop, int fd) {
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  const uint64_t id = loop->next_id++;
-  auto conn = std::make_unique<server::Connection>(fd, id);
-  server::Connection* raw = conn.get();
-  loop->sessions.emplace(id, std::move(conn));
-  stats_.sessions_accepted.fetch_add(1, std::memory_order_relaxed);
-  StartSessionRead(loop, raw);
+  target->net->Wakeup();
 }
 
 // --- Client sessions -----------------------------------------------------
-
-void ShardRouter::StartSessionRead(RouterLoop* loop,
-                                   server::Connection* conn) {
-  uint8_t* buf = conn->EnsureReadBuffer(kReadBufBytes);
-  const Status submitted =
-      loop->io->SubmitRead(conn->fd(), buf, kReadBufBytes, ReadUd(conn->id()));
-  if (!submitted.ok()) {
-    CloseSession(loop, conn->id());
-    return;
-  }
-  conn->set_read_inflight(true);
-}
-
-void ShardRouter::HandleSessionRead(RouterLoop* loop,
-                                    server::Connection* conn,
-                                    int32_t result) {
-  conn->set_read_inflight(false);
-  if (result == 0) {
-    // Peer EOF: drain what is buffered, then close once every admitted
-    // request has been answered and written.
-    conn->set_draining();
-    if (DrainSessionFrames(loop, conn)) MaybeCloseDrained(loop, conn);
-    return;
-  }
-  if (result < 0) {
-    if (result == -EAGAIN || result == -EINTR) {
-      StartSessionRead(loop, conn);
-      return;
-    }
-    CloseSession(loop, conn->id());
-    return;
-  }
-  conn->decoder()->Feed(conn->read_buf(), static_cast<size_t>(result));
-  if (!DrainSessionFrames(loop, conn)) return;
-  StartSessionRead(loop, conn);
-}
-
-void ShardRouter::HandleSessionWrite(RouterLoop* loop,
-                                     server::Connection* conn,
-                                     int32_t result) {
-  conn->set_write_inflight(false);
-  if (result < 0) {
-    if (result == -EAGAIN || result == -EINTR) {
-      if (conn->has_pending_writes()) StartConnWrite(loop, conn);
-      return;
-    }
-    CloseSession(loop, conn->id());
-    return;
-  }
-  conn->ConsumeWritten(static_cast<size_t>(result));
-  if (conn->has_pending_writes()) {
-    StartConnWrite(loop, conn);  // Short write: resume the remainder.
-    return;
-  }
-  MaybeCloseDrained(loop, conn);
-}
 
 bool ShardRouter::DrainSessionFrames(RouterLoop* loop,
                                      server::Connection* conn) {
@@ -629,7 +388,7 @@ bool ShardRouter::DrainSessionFrames(RouterLoop* loop,
     server::Frame frame;
     bool have = false;
     if (!conn->decoder()->Next(&frame, &have).ok()) {
-      CloseSession(loop, conn->id());
+      loop->net->Close(conn);
       return false;
     }
     if (!have) return true;
@@ -638,7 +397,7 @@ bool ShardRouter::DrainSessionFrames(RouterLoop* loop,
       if (frame.type != FrameType::kHello ||
           !server::DecodeHello(frame.body, frame.body_len, &hello).ok() ||
           hello.role != PeerRole::kClient) {
-        CloseSession(loop, conn->id());
+        loop->net->Close(conn);
         return false;
       }
       conn->set_handshaken();
@@ -646,49 +405,15 @@ bool ShardRouter::DrainSessionFrames(RouterLoop* loop,
       std::vector<uint8_t> ack;
       server::EncodeHelloAck(server::HelloAck{}, &ack);
       conn->EnqueueRaw(ack.data(), ack.size());
-      if (!conn->flush_pending()) {
-        conn->set_flush_pending(true);
-        MarkDirty(loop, conn->id());
-      }
+      loop->net->MarkDirty(conn);
       continue;
     }
     if (frame.type != FrameType::kRequest) {
-      CloseSession(loop, conn->id());
+      loop->net->Close(conn);
       return false;
     }
     RouteRequest(loop, conn, conn->AdmitRequest(), frame);
   }
-}
-
-bool ShardRouter::MaybeCloseDrained(RouterLoop* loop,
-                                    server::Connection* conn) {
-  if (!conn->draining()) return false;
-  if (conn->pending_responses() != 0) return false;
-  if (conn->has_pending_writes() || conn->write_inflight()) return false;
-  if (conn->decoder()->buffered_bytes() != 0) return false;
-  CloseSession(loop, conn->id());
-  return true;
-}
-
-void ShardRouter::CloseSession(RouterLoop* loop, uint64_t session_id) {
-  auto it = loop->sessions.find(session_id);
-  if (it == loop->sessions.end()) return;
-  server::Connection* conn = it->second.get();
-  loop->io->CancelFd(conn->fd());
-  ::close(conn->fd());
-  loop->sessions.erase(it);
-  stats_.sessions_closed.fetch_add(1, std::memory_order_relaxed);
-  // Link expectations and in-flight coordinator jobs that still name this
-  // session id resolve to nothing at lookup time — no dangling state.
-}
-
-void ShardRouter::ReleaseSessionReplies(RouterLoop* loop,
-                                        server::Connection* conn) {
-  if (conn->FlushOrdered() > 0 && !conn->flush_pending()) {
-    conn->set_flush_pending(true);
-    MarkDirty(loop, conn->id());
-  }
-  MaybeCloseDrained(loop, conn);
 }
 
 void ShardRouter::ReplyError(RouterLoop* loop, server::Connection* conn,
@@ -700,7 +425,7 @@ void ShardRouter::ReplyError(RouterLoop* loop, server::Connection* conn,
   std::vector<uint8_t> encoded;
   server::EncodeResponse(response, &encoded);
   conn->Complete(ticket, std::move(encoded));
-  ReleaseSessionReplies(loop, conn);
+  loop->net->FlushReplies(conn);
 }
 
 // --- Routing -------------------------------------------------------------
@@ -795,12 +520,9 @@ void ShardRouter::StageForward(RouterLoop* loop, server::Connection* conn,
   expectation.ticket = ticket;
   expectation.request_id = request_id;
   link->expect.push_back(expectation);
-  if (!link->conn->flush_pending()) {
-    // Every forward staged on this link within one reap batch rides the
-    // same gather write — the fast path's syscall budget.
-    link->conn->set_flush_pending(true);
-    MarkDirty(loop, link->conn->id());
-  }
+  // Every forward staged on this link within one reap batch rides the
+  // same gather write — the fast path's syscall budget.
+  loop->net->MarkDirty(link->conn);
   stats_.forwarded.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -814,8 +536,6 @@ void ShardRouter::StartConnectLink(RouterLoop* loop, ShardLink* link) {
     TeardownLink(loop, link);
     return;
   }
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   sockaddr_in addr;
   std::memset(&addr, 0, sizeof(addr));
   addr.sin_family = AF_INET;
@@ -831,9 +551,7 @@ void ShardRouter::StartConnectLink(RouterLoop* loop, ShardLink* link) {
     TeardownLink(loop, link);
     return;
   }
-  const uint64_t id = loop->next_id++;
-  link->conn = std::make_unique<server::Connection>(fd, id);
-  loop->links_by_id.emplace(id, link);
+  link->conn = loop->net->AddOutbound(fd);
   link->state = ShardLink::State::kHello;
   link->resolve_pending = -1;
   // Queue the handshake + in-doubt query now; the backend parks the writev
@@ -846,61 +564,7 @@ void ShardRouter::StartConnectLink(RouterLoop* loop, ShardLink* link) {
   server::EncodeHello(hello, &bytes);
   server::EncodeInDoubtQuery(&bytes);
   link->conn->EnqueueRaw(bytes.data(), bytes.size());
-  link->conn->set_flush_pending(true);
-  MarkDirty(loop, id);
-}
-
-void ShardRouter::StartLinkRead(RouterLoop* loop, ShardLink* link) {
-  server::Connection* conn = link->conn.get();
-  uint8_t* buf = conn->EnsureReadBuffer(kReadBufBytes);
-  const Status submitted =
-      loop->io->SubmitRead(conn->fd(), buf, kReadBufBytes, ReadUd(conn->id()));
-  if (!submitted.ok()) {
-    TeardownLink(loop, link);
-    return;
-  }
-  conn->set_read_inflight(true);
-}
-
-void ShardRouter::HandleLinkWrite(RouterLoop* loop, ShardLink* link,
-                                  int32_t result) {
-  server::Connection* conn = link->conn.get();
-  conn->set_write_inflight(false);
-  if (result < 0) {
-    if (result == -EAGAIN || result == -EINTR) {
-      if (conn->has_pending_writes()) StartConnWrite(loop, conn);
-      return;
-    }
-    TeardownLink(loop, link);
-    return;
-  }
-  conn->ConsumeWritten(static_cast<size_t>(result));
-  if (conn->has_pending_writes()) {
-    StartConnWrite(loop, conn);
-    if (link->conn == nullptr) return;  // Submit failure tore the link down.
-  }
-  if (!conn->read_inflight()) StartLinkRead(loop, link);
-}
-
-void ShardRouter::HandleLinkRead(RouterLoop* loop, ShardLink* link,
-                                 int32_t result) {
-  server::Connection* conn = link->conn.get();
-  conn->set_read_inflight(false);
-  if (result == 0) {
-    TeardownLink(loop, link);
-    return;
-  }
-  if (result < 0) {
-    if (result == -EAGAIN || result == -EINTR) {
-      StartLinkRead(loop, link);
-      return;
-    }
-    TeardownLink(loop, link);
-    return;
-  }
-  conn->decoder()->Feed(conn->read_buf(), static_cast<size_t>(result));
-  if (!DrainLinkFrames(loop, link)) return;  // Torn down mid-drain.
-  StartLinkRead(loop, link);
+  loop->net->MarkDirty(link->conn);
 }
 
 bool ShardRouter::DrainLinkFrames(RouterLoop* loop, ShardLink* link) {
@@ -908,7 +572,7 @@ bool ShardRouter::DrainLinkFrames(RouterLoop* loop, ShardLink* link) {
     server::Frame frame;
     bool have = false;
     if (!link->conn->decoder()->Next(&frame, &have).ok()) {
-      TeardownLink(loop, link);
+      loop->net->Close(link->conn);
       return false;
     }
     if (!have) return true;
@@ -930,7 +594,7 @@ bool ShardRouter::HandleLinkHandshakeFrame(RouterLoop* loop, ShardLink* link,
     server::HelloAck ack;
     if (type != FrameType::kHelloAck ||
         !server::DecodeHelloAck(body.data(), body.size(), &ack).ok()) {
-      TeardownLink(loop, link);
+      loop->net->Close(link->conn);
       return false;
     }
     link->state = ShardLink::State::kResolve;
@@ -942,7 +606,7 @@ bool ShardRouter::HandleLinkHandshakeFrame(RouterLoop* loop, ShardLink* link,
     server::InDoubtList list;
     if (type != FrameType::kInDoubtList ||
         !server::DecodeInDoubtList(body.data(), body.size(), &list).ok()) {
-      TeardownLink(loop, link);
+      loop->net->Close(link->conn);
       return false;
     }
     int sent = 0;
@@ -963,23 +627,20 @@ bool ShardRouter::HandleLinkHandshakeFrame(RouterLoop* loop, ShardLink* link,
     }
     link->resolve_pending = sent;
     if (sent == 0) {
-      LinkUp(loop, link);
+      LinkUp(link);
       return true;
     }
-    if (!link->conn->flush_pending()) {
-      link->conn->set_flush_pending(true);
-      MarkDirty(loop, link->conn->id());
-    }
+    loop->net->MarkDirty(link->conn);
     return true;
   }
   server::DecisionAck ack;
   if (type != FrameType::kDecisionAck ||
       !server::DecodeDecisionAck(body.data(), body.size(), &ack).ok()) {
-    TeardownLink(loop, link);
+    loop->net->Close(link->conn);
     return false;
   }
   stats_.resolved_in_doubt.fetch_add(1, std::memory_order_relaxed);
-  if (--link->resolve_pending == 0) LinkUp(loop, link);
+  if (--link->resolve_pending == 0) LinkUp(link);
   return true;
 }
 
@@ -989,22 +650,21 @@ bool ShardRouter::HandleLinkForwardReply(RouterLoop* loop, ShardLink* link,
   if (link->expect.empty() || type != FrameType::kResponse) {
     // A reply nothing asked for (or the wrong kind): the FIFO contract is
     // broken and the stream can no longer be paired up.
-    TeardownLink(loop, link);
+    loop->net->Close(link->conn);
     return false;
   }
   const Expectation e = link->expect.front();
   link->expect.pop_front();
-  auto it = loop->sessions.find(e.session_id);
-  if (it == loop->sessions.end()) return true;  // Session already closed.
+  server::Connection* session = loop->net->Find(e.session_id);
+  if (session == nullptr) return true;  // Session already closed.
   std::vector<uint8_t> out;
   AppendFrame(type, body.data(), body.size(), &out);
-  it->second->Complete(e.ticket, std::move(out));
-  ReleaseSessionReplies(loop, it->second.get());
+  session->Complete(e.ticket, std::move(out));
+  loop->net->FlushReplies(session);
   return true;
 }
 
-void ShardRouter::LinkUp(RouterLoop* loop, ShardLink* link) {
-  (void)loop;
+void ShardRouter::LinkUp(ShardLink* link) {
   link->state = ShardLink::State::kUp;
   link->backoff_ms = 0;
   {
@@ -1019,12 +679,7 @@ void ShardRouter::TeardownLink(RouterLoop* loop, ShardLink* link) {
     MutexLock lock(&shards_mu_);
     --links_up_;
   }
-  if (link->conn != nullptr) {
-    loop->io->CancelFd(link->conn->fd());
-    ::close(link->conn->fd());
-    loop->links_by_id.erase(link->conn->id());
-    link->conn.reset();
-  }
+  link->conn = nullptr;
   std::deque<Expectation> orphans;
   orphans.swap(link->expect);
   link->resolve_pending = -1;
@@ -1036,9 +691,9 @@ void ShardRouter::TeardownLink(RouterLoop* loop, ShardLink* link) {
   link->retry_deadline_ms =
       MonotonicMs() + half + XorShift64(&link->rng) % (half + 1);
   for (const Expectation& e : orphans) {
-    auto it = loop->sessions.find(e.session_id);
-    if (it == loop->sessions.end()) continue;
-    ReplyError(loop, it->second.get(), e.ticket, e.request_id,
+    server::Connection* session = loop->net->Find(e.session_id);
+    if (session == nullptr) continue;
+    ReplyError(loop, session, e.ticket, e.request_id,
                StatusCode::kUnavailable);
   }
 }
@@ -1353,7 +1008,7 @@ void ShardRouter::PostResult(uint32_t loop_index, CoordinatorResult result) {
     MutexLock lock(&loop->mu);
     loop->pending_results.push_back(std::move(result));
   }
-  loop->io->Wakeup();
+  loop->net->Wakeup();
 }
 
 }  // namespace shard

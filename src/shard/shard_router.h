@@ -26,18 +26,16 @@
 /// resolved. A participant that misses its vote deadline is aborted
 /// (breaking the cross-shard deadlock of parked prepared transactions).
 ///
-/// Threading: the session tier is N event-loop threads on the src/io/
-/// IoBackend spine (uring or batched epoll — the same contract the server
-/// uses). Loop 0 owns the persistent accept and round-robins accepted
-/// sockets across loops; each loop owns its share of client sessions plus
-/// one *forwarding connection per shard*, multiplexed through one backend
-/// instance via submitted reads and gathered writev completions. The fast
-/// path never leaves its loop: forwards staged across one read burst go
-/// out with one gather write per shard link, forward replies pair with a
-/// per-link FIFO expectation deque, and the per-session ticket reorder
-/// buffer releases client responses in request order with one coalesced
-/// writev per session per reap batch. Shard links reconnect with jittered
-/// backoff driven by reap timeouts (never a blind sleep), and a link
+/// Threading: the session tier is N server::EventLoop threads — the
+/// connection loop the server uses (event_loop.h). Loop 0 owns the
+/// listener and round-robins accepted sockets across loops; each loop owns
+/// its share of client sessions plus one *forwarding connection per shard*,
+/// all in its one connection table. The fast path never leaves its loop:
+/// forwards staged across one read burst go out with one gather write per
+/// shard link, forward replies pair with a per-link FIFO expectation
+/// deque, and the per-session ticket reorder buffer releases client
+/// responses in request order. Shard links reconnect with jittered backoff
+/// driven by the loop's reap timeout (never a blind sleep), and a link
 /// resolves the shard's in-doubt backlog before accepting forwards.
 ///
 /// Cross-shard 2PC runs on a small dedicated coordinator pool — blocking
@@ -53,11 +51,9 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -67,6 +63,7 @@
 #include "log/log_manager.h"
 #include "server/client.h"
 #include "server/connection.h"
+#include "server/event_loop.h"
 #include "server/protocol.h"
 
 namespace next700 {
@@ -104,7 +101,9 @@ struct ShardRouterOptions {
   int coordinator_threads = 2;
 };
 
-struct ShardRouterStats {
+/// The LoopStats base (shared by every loop) carries accept_errors and the
+/// fast path's gather ratio, frames_batched / writev_batches.
+struct ShardRouterStats : server::LoopStats {
   std::atomic<uint64_t> forwarded{0};
   std::atomic<uint64_t> cross_shard_commits{0};
   std::atomic<uint64_t> cross_shard_aborts{0};
@@ -115,13 +114,6 @@ struct ShardRouterStats {
   /// tier leaked a session object + thread handle per dead client).
   std::atomic<uint64_t> sessions_accepted{0};
   std::atomic<uint64_t> sessions_closed{0};
-  /// Transient accept4 failures (EMFILE/ENFILE/...) that disarmed the
-  /// accept and backed off instead of busy-spinning on readiness.
-  std::atomic<uint64_t> accept_errors{0};
-  /// Outbound batching on the event loops: frames_batched / writev_batches
-  /// is the gather ratio of the fast path.
-  std::atomic<uint64_t> writev_batches{0};
-  std::atomic<uint64_t> frames_batched{0};
 };
 
 class ShardRouter {
@@ -197,32 +189,10 @@ class ShardRouter {
     uint64_t request_id = 0;
   };
 
-  // --- Event loop ---------------------------------------------------------
-  void LoopRun(RouterLoop* loop);
-  int ComputeReapTimeout(RouterLoop* loop) const;
-  void ProcessTimers(RouterLoop* loop);
-  void DrainInbox(RouterLoop* loop);
-  void FlushDirty(RouterLoop* loop);
-  void MarkDirty(RouterLoop* loop, uint64_t conn_id);
-  void StartConnWrite(RouterLoop* loop, server::Connection* conn);
-
-  // --- Accept path (loop 0) ----------------------------------------------
-  void HandleAccept(RouterLoop* loop, int32_t result);
-  void AdoptSession(RouterLoop* loop, int fd);
-
   // --- Client sessions ----------------------------------------------------
-  void StartSessionRead(RouterLoop* loop, server::Connection* conn);
-  void HandleSessionRead(RouterLoop* loop, server::Connection* conn,
-                         int32_t result);
-  void HandleSessionWrite(RouterLoop* loop, server::Connection* conn,
-                          int32_t result);
   /// Decodes and routes buffered frames; returns false when the session
   /// was closed.
   bool DrainSessionFrames(RouterLoop* loop, server::Connection* conn);
-  bool MaybeCloseDrained(RouterLoop* loop, server::Connection* conn);
-  void CloseSession(RouterLoop* loop, uint64_t session_id);
-  /// FlushOrdered + dirty-mark + drained-close check after a Complete().
-  void ReleaseSessionReplies(RouterLoop* loop, server::Connection* conn);
   void ReplyError(RouterLoop* loop, server::Connection* conn, uint64_t ticket,
                   uint64_t request_id, StatusCode code);
 
@@ -237,10 +207,8 @@ class ShardRouter {
 
   // --- Shard links (per loop, event-driven) -------------------------------
   void StartConnectLink(RouterLoop* loop, ShardLink* link);
-  void HandleLinkRead(RouterLoop* loop, ShardLink* link, int32_t result);
-  void HandleLinkWrite(RouterLoop* loop, ShardLink* link, int32_t result);
-  void StartLinkRead(RouterLoop* loop, ShardLink* link);
-  /// Returns false when the link was torn down mid-drain.
+  /// Returns false when the link was torn down mid-drain (closing a link's
+  /// connection tears the link down through the OnClosed hook).
   bool DrainLinkFrames(RouterLoop* loop, ShardLink* link);
   bool HandleLinkHandshakeFrame(RouterLoop* loop, ShardLink* link,
                                 server::FrameType type,
@@ -248,9 +216,9 @@ class ShardRouter {
   bool HandleLinkForwardReply(RouterLoop* loop, ShardLink* link,
                               server::FrameType type,
                               const std::vector<uint8_t>& body);
-  void LinkUp(RouterLoop* loop, ShardLink* link);
-  /// Fails outstanding expectations with kUnavailable and schedules a
-  /// jittered reconnect.
+  void LinkUp(ShardLink* link);
+  /// The link's connection is gone (or never came up): fails outstanding
+  /// expectations with kUnavailable and schedules a jittered reconnect.
   void TeardownLink(RouterLoop* loop, ShardLink* link);
 
   // --- Coordinator pool (blocking 2PC) ------------------------------------
@@ -278,7 +246,6 @@ class ShardRouter {
   ShardRouterStats stats_;
   std::atomic<bool> stop_{false};
   bool running_ = false;
-  int listen_fd_ = -1;
   uint16_t port_ = 0;
 
   /// Parsed options_.shards.

@@ -18,6 +18,7 @@
 
 #include "common/rng.h"
 #include "faultlog/fault_injection.h"
+#include "fd_exhaustion.h"
 #include "io/io_backend.h"
 #include "server/client.h"
 #include "server/loadgen.h"
@@ -517,6 +518,26 @@ TEST_P(ServerTest, PipelinedBurstFansOutToWorkers) {
   }
   EXPECT_EQ(stats.requests_dispatched.load(),
             static_cast<uint64_t>(kBursts * kDepth));
+}
+
+// Regression: the server ignored failed accepts while both backends kept
+// the listener armed, so an idle server out of fds spun a core until one
+// freed. The shared event loop backs off and re-arms.
+TEST_P(ServerTest, AcceptBacksOffWhenFdsRunOut) {
+  fd_exhaustion::NofileLimit limit;
+  Service service = StartService(CcScheme::kOcc, LoggingKind::kNone);
+  fd_exhaustion::ExpectAcceptBacksOffWhenFdsRunOut(service.server->port(),
+                                                   service.server->stats());
+}
+
+TEST_P(ServerTest, StartFailsWhenTheListenerCannotBind) {
+  Service service = StartService(CcScheme::kOcc, LoggingKind::kNone);
+  ServerOptions srv;
+  srv.port = service.server->port();  // Already listening.
+  srv.io_backend = GetParam();
+  Server second(service.engine.get(), srv);
+  const Status started = second.Start();
+  EXPECT_EQ(started.code(), StatusCode::kIOError) << started.ToString();
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -21,6 +21,7 @@
 #include <thread>
 #include <vector>
 
+#include "fd_exhaustion.h"
 #include "io/io_backend.h"
 #include "server/client.h"
 #include "server/procs.h"
@@ -348,6 +349,17 @@ TEST_P(ShardRouterTest, StopIsPromptWithDownShards) {
       std::chrono::steady_clock::now() - t0);
   EXPECT_LT(elapsed.count(), 100) << "Stop() took " << elapsed.count()
                                   << " ms with down shards";
+}
+
+// The accept backoff under fd exhaustion: no spinning while the fd table
+// is full, and every queued client is served once fds free up.
+TEST_P(ShardRouterTest, AcceptBacksOffWhenFdsRunOut) {
+  fd_exhaustion::NofileLimit limit;
+  Topology topo;
+  StartTopology(&topo, TempBase(), GetParam());
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  fd_exhaustion::ExpectAcceptBacksOffWhenFdsRunOut(topo.router->port(),
+                                                   topo.router->stats());
 }
 
 INSTANTIATE_TEST_SUITE_P(
