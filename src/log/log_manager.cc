@@ -449,22 +449,20 @@ void LogManager::FlusherLoop() {
     }
     const Status s = WriteAndSync(local);
     local.clear();
-    if (!s.ok()) {
-      // Sticky device failure: durable_lsn_ stops here; every waiter (and
-      // every future WaitDurable) gets the error instead of an abort.
-      {
-        MutexLock lock(&mu_);
-        io_status_ = s;
-      }
-      break;
-    }
-    flush_count_.fetch_add(1, std::memory_order_relaxed);
-    const uint64_t now = NowNanos();
-    {
+    if (s.ok()) {
+      flush_count_.fetch_add(1, std::memory_order_relaxed);
+      const uint64_t now = NowNanos();
       MutexLock lock(&mu_);
       durable_lsn_ = target;
       flush_stats_.batch_records.Record(records);
       flush_stats_.oldest_wait_ns.Record(now - first_ns);
+    } else {
+      // Sticky device failure: durable_lsn_ stops here; every waiter (and
+      // every future WaitDurable) gets the error instead of an abort. The
+      // callback still runs once so subscribers notice.
+      MutexLock lock(&mu_);
+      io_status_ = s;
+      target = durable_lsn_;
     }
     flushed_cv_.NotifyAll();
     // Invoke the durable callback outside callback_mu_ so a reentrant
@@ -482,6 +480,7 @@ void LogManager::FlusherLoop() {
       callback_running_ = false;
     }
     callback_cv_.NotifyAll();
+    if (!s.ok()) break;
   }
   {
     MutexLock lock(&mu_);

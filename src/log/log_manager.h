@@ -162,7 +162,9 @@ class LogManager {
 
   /// Registers a callback the flusher invokes (from its own thread, outside
   /// every log mutex) after each successful flush, with the new durable
-  /// LSN. Used for group-commit-aware reply release: the network server
+  /// LSN, and once more, with the unchanged durable LSN, when a device
+  /// error stops the flusher (subscribers then see it in io_status()). Used
+  /// for group-commit-aware reply release: the network server
   /// defers client responses until the commit LSN is durable instead of
   /// blocking a worker in WaitDurable. The callback may itself call
   /// SetDurableCallback (re-registration is reentrancy-safe); from any

@@ -326,6 +326,14 @@ bool Server::HandlePrepare(Connection* conn, const Frame& frame) {
     WorkQueue* queue =
         queues_[static_cast<size_t>(WorkerForPartitions(prepare.partitions))]
             .get();
+    // Registered at admission rather than once prepared: an in-doubt query
+    // must list a branch that is still queued or executing, or a
+    // coordinator that lost this connection could sweep before the branch
+    // parks and leave it with nobody to decide it.
+    {
+      MutexLock lock(&prepared_mu_);
+      prepared_.emplace(prepare.gtid, PreparedTxn{});
+    }
     WorkItem item;
     item.conn_id = conn->id();
     item.seq = seq;
@@ -333,6 +341,10 @@ bool Server::HandlePrepare(Connection* conn, const Frame& frame) {
     item.prepare = std::move(prepare);
     int no_borrow = -1;
     code = Enqueue(queue, &item, /*may_run_inline=*/false, &no_borrow);
+    if (code != StatusCode::kOk) {
+      MutexLock lock(&prepared_mu_);
+      prepared_.erase(vote.gtid);
+    }
   }
   if (code == StatusCode::kOk) {
     stats_.prepares_dispatched.fetch_add(1, std::memory_order_relaxed);
@@ -399,10 +411,9 @@ bool Server::HandleInDoubtQuery(Connection* conn, const Frame& frame) {
   }
   const uint64_t seq = conn->AdmitRequest();
   InDoubtList list;
-  // Both branches recovery left in doubt and live prepared branches whose
-  // decision never arrived (their coordinator crashed before deciding):
-  // the reconnecting coordinator answers every one of these with a
-  // decision frame.
+  // Both branches recovery left in doubt and live branches (queued,
+  // executing or parked) whose decision never arrived: the reconnecting
+  // coordinator answers every one of these with a decision frame.
   list.gtids = engine_->InDoubtGtids();
   {
     MutexLock lock(&prepared_mu_);
@@ -767,13 +778,27 @@ void Server::RunPrepare(int worker_id, WorkItem* item) {
     no.seq = item->seq;
     EncodeVote(vote, &no.encoded);
     PushCompletion(std::move(no));
+    // An abort decision may have reached the branch before it voted (a
+    // coordinator's in-doubt sweep); it is owed its ack.
+    PreparedTxn entry;
+    {
+      MutexLock lock(&prepared_mu_);
+      auto it = prepared_.find(prepare.gtid);
+      NEXT700_CHECK(it != prepared_.end());
+      entry = it->second;
+      prepared_.erase(it);
+    }
+    if (entry.decided) {
+      DecisionAck ack;
+      ack.gtid = prepare.gtid;
+      ack.status = StatusCode::kOk;
+      Completion acked;
+      acked.conn_id = entry.decision_conn_id;
+      acked.seq = entry.decision_seq;
+      EncodeDecisionAck(ack, &acked.encoded);
+      PushCompletion(std::move(acked));
+    }
     return;
-  }
-  // Register before the vote leaves: the decision can arrive the moment
-  // the coordinator counts the last yes.
-  {
-    MutexLock lock(&prepared_mu_);
-    prepared_.emplace(prepare.gtid, PreparedTxn{});
   }
   if (options_.crash_after_prepares > 0 &&
       prepares_done_.fetch_add(1, std::memory_order_relaxed) + 1 ==

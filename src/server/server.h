@@ -242,9 +242,11 @@ class Server : private EventLoop::Handler {
     Prepare prepare;
   };
 
-  /// One prepared-but-undecided branch, keyed by gtid in prepared_. The
-  /// owning worker parks on prepared_cv_ after registering its entry and
-  /// pushing the Vote; the event loop fills in the decision and wakes it.
+  /// One undecided branch, keyed by gtid in prepared_. The event loop
+  /// registers it when it admits the Prepare; the worker parks on
+  /// prepared_cv_ after pushing a yes Vote, and the event loop fills in the
+  /// decision and wakes it. A decision may land before the branch has
+  /// voted (an in-doubt sweep can only abort it then).
   struct PreparedTxn {
     bool decided = false;
     bool commit = false;
@@ -416,7 +418,7 @@ class Server : private EventLoop::Handler {
                       std::greater<HeldReply>>
       held_replies_ GUARDED_BY(held_mu_);
 
-  // Live prepared branches (workers register + park; event loop decides).
+  // Undecided branches (event loop registers and decides; workers park).
   // Never nested with the other server mutexes.
   Mutex prepared_mu_;
   CondVar prepared_cv_;

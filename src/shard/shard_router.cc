@@ -11,6 +11,9 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <deque>
+#include <thread>
+#include <unordered_map>
 
 #include "common/macros.h"
 #include "log/recovery.h"
@@ -83,14 +86,63 @@ uint32_t ResolveNumLoops(int requested) {
   return std::max(1u, std::min(4u, hw / 2));
 }
 
+/// What the next reply frame on a shard link, after the handshake, answers.
+/// The shard server replies in per-connection request order, so a deque of
+/// these, pushed in send order, always matches; a reply of the wrong frame
+/// type or gtid closes the link.
+struct Expectation {
+  enum class Kind : uint8_t { kForward, kVote, kAck };
+  Kind kind = Kind::kForward;
+  /// kAck of a decision the in-doubt sweep sent (counts toward link-up).
+  bool sweep = false;
+  uint64_t gtid = 0;  // kVote, kAck.
+  // kForward: the reply slot. request_id is echoed in the kUnavailable
+  // reply when the link dies with the forward in flight — a made-up id
+  // would desynchronize clients that match responses by id.
+  uint64_t session_id = 0;
+  uint64_t ticket = 0;
+  uint64_t request_id = 0;
+};
+using Kind = Expectation::Kind;
+
+std::vector<uint8_t> EncodeReply(uint64_t request_id, StatusCode status,
+                                 Lsn commit_lsn) {
+  server::Response response;
+  response.request_id = request_id;
+  response.status = status;
+  response.commit_lsn = commit_lsn;
+  std::vector<uint8_t> encoded;
+  server::EncodeResponse(response, &encoded);
+  return encoded;
+}
+
 }  // namespace
 
-/// One forwarding connection from an event loop to a shard server. The
-/// owning loop is the only thread that touches it; the state machine runs
-/// off read/write completions. A link accepts forwards only in kUp (after
-/// handshake + in-doubt resolution); anything staged while down answers
-/// kUnavailable immediately, which keeps the reply stream strictly
-/// pairable against the expectation deque.
+/// A cross-shard kKvRmw on its way to loop 0's 2PC. Identifies the reply
+/// slot by (loop, session id, ticket) — never by pointer, so a session
+/// that dies mid-2PC just drops the result.
+struct ShardRouter::CrossShardJob {
+  uint32_t loop_index = 0;
+  uint64_t session_id = 0;
+  uint64_t ticket = 0;
+  uint64_t request_id = 0;
+  /// Per-shard key slices (index == shard id; empty == not a participant).
+  std::vector<std::vector<uint64_t>> shard_keys;
+};
+
+/// A finished 2PC reply, posted to the session's loop.
+struct ShardRouter::CrossShardResult {
+  uint64_t session_id = 0;
+  uint64_t ticket = 0;
+  std::vector<uint8_t> encoded;
+};
+
+/// One connection from an event loop to a shard server. The owning loop
+/// is the only thread that touches it; the state machine runs off
+/// read/write completions. A link accepts forwards and prepares only in
+/// kUp (after handshake + in-doubt resolution); a forward staged while it
+/// is down answers kUnavailable immediately, which keeps the reply stream
+/// strictly pairable against the expectation deque.
 struct ShardRouter::ShardLink {
   enum class State : uint8_t {
     kDown,     // No connection; retry at retry_deadline_ms.
@@ -105,21 +157,51 @@ struct ShardRouter::ShardLink {
   /// while kDown. A fresh Connection (and a fresh id) per connect attempt
   /// keeps stale completions from a dead socket unroutable.
   server::Connection* conn = nullptr;
-  /// FIFO of what each kUp reply frame answers (shard servers reply in
-  /// per-connection request order).
   std::deque<Expectation> expect;
-  /// Decision acks still owed from in-doubt resolution; -1 until the list
-  /// arrives.
+  /// Sweep acks still owed; -1 until the in-doubt list arrives.
   int resolve_pending = -1;
   uint64_t retry_deadline_ms = 0;
   uint64_t backoff_ms = 0;
   uint64_t rng = 0x9e3779b97f4a7c15ull;
+
+  /// Queues one frame whose reply `e` describes; everything queued within
+  /// one reap batch rides the same gather write.
+  void Send(server::EventLoop* net, const std::vector<uint8_t>& frame,
+            const Expectation& e) {
+    conn->EnqueueRaw(frame.data(), frame.size());
+    expect.push_back(e);
+    net->MarkDirty(conn);
+  }
+};
+
+/// One cross-shard transaction in 2PC, owned by loop 0.
+struct ShardRouter::CrossShardTxn {
+  enum class Phase : uint8_t { kVoting, kLogging, kAcking };
+  /// Per shard: the reply this transaction still awaits from it.
+  enum class Await : uint8_t { kNothing, kVote, kAck };
+
+  uint64_t gtid = 0;
+  CrossShardJob job;
+  Phase phase = Phase::kVoting;
+  std::vector<Await> await;  // index == shard id
+  std::vector<uint32_t> yes_shards;
+  /// First failure (a no vote, a lost or late vote, a decision-log
+  /// error); kOk while the transaction may still commit.
+  StatusCode fail_code = StatusCode::kOk;
+  /// The vote deadline while kVoting, the ack deadline while kAcking.
+  uint64_t deadline_ms = 0;
+  Lsn decision_lsn = 0;
+  bool commit = false;
+
+  bool Awaiting(Await what) const {
+    return std::find(await.begin(), await.end(), what) != await.end();
+  }
 };
 
 /// One event-loop thread: a connection loop holding every session and
 /// shard link it owns, and the hooks that give them their protocol. Only
 /// the owning thread touches anything outside `mu`; other threads reach in
-/// through the inbox + Wakeup.
+/// through the inbox + Wakeup. Loop 0 also runs every cross-shard 2PC.
 struct ShardRouter::RouterLoop : server::EventLoop::Handler {
   ShardRouter* router = nullptr;
   uint32_t index = 0;
@@ -129,7 +211,16 @@ struct ShardRouter::RouterLoop : server::EventLoop::Handler {
   // Cross-thread inbox, drained on Op::kWakeup.
   Mutex mu;
   std::vector<int> pending_fds GUARDED_BY(mu);
-  std::vector<CoordinatorResult> pending_results GUARDED_BY(mu);
+  std::vector<CrossShardResult> pending_results GUARDED_BY(mu);
+  std::vector<CrossShardJob> pending_jobs GUARDED_BY(mu);  // Loop 0 only.
+
+  // Loop 0's 2PC state.
+  std::deque<CrossShardJob> waiting;  // Beyond the cap, in arrival order.
+  std::unordered_map<uint64_t, CrossShardTxn> txns;
+  /// Runtime commits -> the yes-voters that have not acked them yet.
+  std::unordered_map<uint64_t, std::vector<uint32_t>> unacked;
+  uint64_t gtids_issued = 0;
+  uint64_t crash_gtid = 0;  // Armed crash_after_prepares_sent victim.
 
   /// The link `conn` belongs to, or null for a client session.
   ShardLink* LinkOf(const server::Connection* conn) const {
@@ -157,22 +248,16 @@ struct ShardRouter::RouterLoop : server::EventLoop::Handler {
       router->TeardownLink(this, link);
       return;
     }
-    // Link expectations and in-flight coordinator jobs that still name this
-    // session id resolve to nothing at lookup time — no dangling state.
+    // Link expectations and 2PC jobs that still name this session id
+    // resolve to nothing at lookup time — no dangling state.
     router->stats_.sessions_closed.fetch_add(1, std::memory_order_relaxed);
   }
-  /// Adopts handed-over sessions and slots in finished 2PC replies.
+  /// Adopts handed-over sessions, slots in finished 2PC replies and, on
+  /// loop 0, takes over 2PC jobs and decisions the log made durable.
   void OnWakeup() override;
-  /// Redials every down link whose backoff expired; returns the earliest
-  /// remaining retry deadline (UINT64_MAX when every link is connected).
+  /// 2PC deadlines (loop 0), then redials every down link whose backoff
+  /// expired; returns the earliest remaining deadline.
   uint64_t RunTimers(uint64_t now_ms) override;
-};
-
-/// One blocking 2PC coordinator thread with its own shard connections
-/// (lazily connected; each connect runs the in-doubt sweep first).
-struct ShardRouter::Coordinator {
-  std::thread thread;
-  std::vector<std::unique_ptr<server::Client>> clients;  // index == shard id
 };
 
 ShardRouter::ShardRouter(ShardRouterOptions options)
@@ -190,13 +275,13 @@ Status ShardRouter::Start() {
 
   // Prior commit decisions first (the scan reads the existing segments),
   // then open the log for appending (which starts a fresh segment).
+  scanned_commits_.clear();
   struct stat st;
   if (::stat(options_.log_dir.c_str(), &st) == 0) {
     std::vector<uint64_t> committed;
     NEXT700_RETURN_IF_ERROR(
         ScanCoordinatorDecisions(options_.log_dir, &committed));
-    MutexLock lock(&committed_mu_);
-    committed_.insert(committed.begin(), committed.end());
+    scanned_commits_.insert(committed.begin(), committed.end());
   }
   LogManagerOptions log_options;
   log_options.dir = options_.log_dir;
@@ -241,47 +326,34 @@ Status ShardRouter::Start() {
     MutexLock lock(&shards_mu_);
     links_up_ = 0;
   }
-  {
-    MutexLock lock(&jobs_mu_);
-    jobs_stopped_ = false;
-  }
-  const int ncoord = std::max(1, options_.coordinator_threads);
-  for (int i = 0; i < ncoord; ++i) {
-    auto coord = std::make_unique<Coordinator>();
-    Coordinator* raw = coord.get();
-    raw->thread = std::thread([this, raw] { CoordinatorRun(raw); });
-    coordinators_.push_back(std::move(coord));
-  }
+  // A flush (or a decision-log failure) wakes loop 0, which re-checks the
+  // decisions it is waiting on.
+  server::EventLoop* coordinator = loops_[0]->net.get();
+  decision_log_->SetDurableCallback(
+      [coordinator](Lsn) { coordinator->Wakeup(); });
   for (auto& loop : loops_) loop->net->Start();
   running_ = true;
   return Status::OK();
 }
 
 void ShardRouter::Stop() {
-  if (loops_.empty() && coordinators_.empty()) {
+  if (loops_.empty()) {
     if (decision_log_ != nullptr) decision_log_->Close();
     return;
   }
   stop_.store(true, std::memory_order_release);
-
-  // Coordinators first: they post into loop inboxes and Wakeup loop
-  // backends, so the loops (and their backends) must outlive them.
-  {
-    MutexLock lock(&jobs_mu_);
-    jobs_stopped_ = true;
-  }
-  jobs_cv_.NotifyAll();
-  for (auto& coord : coordinators_) {
-    if (coord->thread.joinable()) coord->thread.join();
-  }
-
+  // Returns once an in-flight callback finished: the flusher no longer
+  // wakes a loop that is going away.
+  decision_log_->SetDurableCallback(nullptr);
   for (auto& loop : loops_) loop->net->Stop();
   {
     MutexLock lock(&shards_mu_);
   }
   shards_cv_.NotifyAll();  // Unpark WaitShardsConnected; it observes stop_.
 
-  // Loop threads are joined: this thread owns their state now.
+  // Loop threads are joined: this thread owns their state now. 2PC still
+  // in flight dies here; its prepared branches resolve through the next
+  // incarnation's in-doubt sweep.
   for (auto& loop : loops_) {
     for (const auto& [id, conn] : loop->net->connections()) {
       (void)id;
@@ -294,14 +366,14 @@ void ShardRouter::Stop() {
       for (const int fd : loop->pending_fds) ::close(fd);
       loop->pending_fds.clear();
       loop->pending_results.clear();
+      loop->pending_jobs.clear();
     }
     io_syscalls_retired_.fetch_add(
         loop->net->io().counters().syscalls.load(std::memory_order_relaxed),
         std::memory_order_relaxed);
   }
   loops_.clear();  // Closes every session, link and the listener.
-  coordinators_.clear();
-  if (decision_log_ != nullptr) decision_log_->Close();
+  decision_log_->Close();
   running_ = false;
 }
 
@@ -330,7 +402,10 @@ uint64_t ShardRouter::io_syscalls() const {
 // --- Event loop hooks ---------------------------------------------------
 
 uint64_t ShardRouter::RouterLoop::RunTimers(uint64_t now_ms) {
-  uint64_t next = UINT64_MAX;
+  // 2PC first: a vote timeout tears links down, and their redial deadlines
+  // must count below.
+  uint64_t next =
+      index == 0 ? router->RunCrossShardTimers(this, now_ms) : UINT64_MAX;
   for (auto& link : links) {
     if (link->state != ShardLink::State::kDown) continue;
     if (link->retry_deadline_ms <= now_ms) {
@@ -345,22 +420,25 @@ uint64_t ShardRouter::RouterLoop::RunTimers(uint64_t now_ms) {
 
 void ShardRouter::RouterLoop::OnWakeup() {
   std::vector<int> fds;
-  std::vector<CoordinatorResult> results;
+  std::vector<CrossShardResult> results;
+  std::vector<CrossShardJob> jobs;
   {
     MutexLock lock(&mu);
     fds.swap(pending_fds);
     results.swap(pending_results);
+    jobs.swap(pending_jobs);
   }
   for (const int fd : fds) {
     router->stats_.sessions_accepted.fetch_add(1, std::memory_order_relaxed);
     net->Adopt(fd);
   }
-  for (CoordinatorResult& result : results) {
-    server::Connection* conn = net->Find(result.session_id);
-    if (conn == nullptr) continue;  // Session died mid-2PC.
-    conn->Complete(result.ticket, std::move(result.encoded));
-    net->FlushReplies(conn);
+  for (CrossShardResult& result : results) {
+    router->CompleteResult(this, std::move(result));
   }
+  if (index != 0) return;
+  for (CrossShardJob& job : jobs) waiting.push_back(std::move(job));
+  router->StartWaiting(this);
+  router->CheckDecisionLog(this);
 }
 
 void ShardRouter::RouterLoop::OnAccept(int fd) {
@@ -419,12 +497,7 @@ bool ShardRouter::DrainSessionFrames(RouterLoop* loop,
 void ShardRouter::ReplyError(RouterLoop* loop, server::Connection* conn,
                              uint64_t ticket, uint64_t request_id,
                              StatusCode code) {
-  server::Response response;
-  response.request_id = request_id;
-  response.status = code;
-  std::vector<uint8_t> encoded;
-  server::EncodeResponse(response, &encoded);
-  conn->Complete(ticket, std::move(encoded));
+  conn->Complete(ticket, EncodeReply(request_id, code, 0));
   loop->net->FlushReplies(conn);
 }
 
@@ -475,29 +548,21 @@ void ShardRouter::RouteRequest(RouterLoop* loop, server::Connection* conn,
     StageForward(loop, conn, ticket, single, frame, request.request_id);
     return;
   }
-  // Cross-shard: hand the 2PC run to the coordinator pool — the event loop
-  // never blocks on votes. The reply comes back through this loop's inbox
-  // and the session's reorder buffer slots it into request order.
-  CrossShardJob job;
-  job.loop_index = loop->index;
-  job.session_id = conn->id();
-  job.ticket = ticket;
-  job.request_id = request.request_id;
-  job.shard_keys = std::move(shard_keys);
-  bool queued = false;
+  // Cross-shard: loop 0 runs the 2PC; the reply comes back through this
+  // loop's inbox and the session's reorder buffer slots it into order.
+  CrossShardJob job{loop->index, conn->id(), ticket, request.request_id,
+                    std::move(shard_keys)};
+  RouterLoop* coordinator = loops_[0].get();
+  if (loop == coordinator) {
+    loop->waiting.push_back(std::move(job));
+    StartWaiting(loop);
+    return;
+  }
   {
-    MutexLock lock(&jobs_mu_);
-    if (!jobs_stopped_) {
-      jobs_.push_back(std::move(job));
-      queued = true;
-    }
+    MutexLock lock(&coordinator->mu);
+    coordinator->pending_jobs.push_back(std::move(job));
   }
-  if (queued) {
-    jobs_cv_.NotifyOne();
-  } else {
-    ReplyError(loop, conn, ticket, request.request_id,
-               StatusCode::kUnavailable);
-  }
+  coordinator->net->Wakeup();
 }
 
 void ShardRouter::StageForward(RouterLoop* loop, server::Connection* conn,
@@ -514,15 +579,11 @@ void ShardRouter::StageForward(RouterLoop* loop, server::Connection* conn,
   }
   std::vector<uint8_t> bytes;
   AppendFrame(frame.type, frame.body, frame.body_len, &bytes);
-  link->conn->EnqueueRaw(bytes.data(), bytes.size());
-  Expectation expectation;
-  expectation.session_id = conn->id();
-  expectation.ticket = ticket;
-  expectation.request_id = request_id;
-  link->expect.push_back(expectation);
   // Every forward staged on this link within one reap batch rides the
   // same gather write — the fast path's syscall budget.
-  loop->net->MarkDirty(link->conn);
+  link->Send(loop->net.get(), bytes,
+             Expectation{Kind::kForward, false, 0, conn->id(), ticket,
+                         request_id});
   stats_.forwarded.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -530,25 +591,17 @@ void ShardRouter::StageForward(RouterLoop* loop, server::Connection* conn,
 
 void ShardRouter::StartConnectLink(RouterLoop* loop, ShardLink* link) {
   const auto& [host, shard_port] = shard_addrs_[link->shard_id];
-  const int fd =
-      ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-  if (fd < 0) {
-    TeardownLink(loop, link);
-    return;
-  }
   sockaddr_in addr;
   std::memset(&addr, 0, sizeof(addr));
   addr.sin_family = AF_INET;
   addr.sin_port = htons(shard_port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    TeardownLink(loop, link);
-    return;
-  }
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0 &&
-      errno != EINPROGRESS) {
-    ::close(fd);
-    TeardownLink(loop, link);
+  const int fd =
+      ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+  if (fd < 0 || ::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1 ||
+      (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0 &&
+       errno != EINPROGRESS)) {
+    if (fd >= 0) ::close(fd);
+    TeardownLink(loop, link);  // Schedules the retry.
     return;
   }
   link->conn = loop->net->AddOutbound(fd);
@@ -571,97 +624,115 @@ bool ShardRouter::DrainLinkFrames(RouterLoop* loop, ShardLink* link) {
   for (;;) {
     server::Frame frame;
     bool have = false;
-    if (!link->conn->decoder()->Next(&frame, &have).ok()) {
+    if (!link->conn->decoder()->Next(&frame, &have).ok() ||
+        (have && !HandleLinkFrame(loop, link, frame))) {
       loop->net->Close(link->conn);
       return false;
     }
     if (!have) return true;
-    const std::vector<uint8_t> body(frame.body, frame.body + frame.body_len);
-    bool alive;
-    if (link->state == ShardLink::State::kUp) {
-      alive = HandleLinkForwardReply(loop, link, frame.type, body);
-    } else {
-      alive = HandleLinkHandshakeFrame(loop, link, frame.type, body);
-    }
-    if (!alive) return false;
   }
 }
 
-bool ShardRouter::HandleLinkHandshakeFrame(RouterLoop* loop, ShardLink* link,
-                                           FrameType type,
-                                           const std::vector<uint8_t>& body) {
+bool ShardRouter::HandleLinkFrame(RouterLoop* loop, ShardLink* link,
+                                  const server::Frame& frame) {
   if (link->state == ShardLink::State::kHello) {
     server::HelloAck ack;
-    if (type != FrameType::kHelloAck ||
-        !server::DecodeHelloAck(body.data(), body.size(), &ack).ok()) {
-      loop->net->Close(link->conn);
+    if (frame.type != FrameType::kHelloAck ||
+        !server::DecodeHelloAck(frame.body, frame.body_len, &ack).ok()) {
       return false;
     }
     link->state = ShardLink::State::kResolve;
     return true;
   }
-  NEXT700_CHECK(link->state == ShardLink::State::kResolve);
   if (link->resolve_pending < 0) {
-    // First frame after the HelloAck answers the in-doubt query.
+    // The frame after the HelloAck answers the in-doubt query.
     server::InDoubtList list;
-    if (type != FrameType::kInDoubtList ||
-        !server::DecodeInDoubtList(body.data(), body.size(), &list).ok()) {
-      loop->net->Close(link->conn);
+    if (frame.type != FrameType::kInDoubtList ||
+        !server::DecodeInDoubtList(frame.body, frame.body_len, &list).ok()) {
       return false;
     }
-    int sent = 0;
+    // Answer it with one decision per gtid this loop may decide.
     std::vector<uint8_t> enc;
+    link->resolve_pending = 0;
     for (const uint64_t gtid : list.gtids) {
       bool commit = false;
-      bool skip = false;
-      ClassifyInDoubt(gtid, &commit, &skip);
-      if (skip) continue;  // A live coordinator thread owns this outcome.
+      if (!ClassifyInDoubt(loop, gtid, &commit)) continue;
       server::Decision decision;
       decision.gtid = gtid;
       enc.clear();
-      server::EncodeDecision(commit ? FrameType::kCommitDecision
-                                    : FrameType::kAbortDecision,
-                             decision, &enc);
-      link->conn->EnqueueRaw(enc.data(), enc.size());
-      ++sent;
+      server::EncodeDecision(
+          commit ? FrameType::kCommitDecision : FrameType::kAbortDecision,
+          decision, &enc);
+      link->Send(loop->net.get(), enc, Expectation{Kind::kAck, true, gtid});
+      ++link->resolve_pending;
     }
-    link->resolve_pending = sent;
-    if (sent == 0) {
-      LinkUp(link);
-      return true;
-    }
-    loop->net->MarkDirty(link->conn);
+    if (link->resolve_pending == 0) LinkUp(link);
     return true;
   }
-  server::DecisionAck ack;
-  if (type != FrameType::kDecisionAck ||
-      !server::DecodeDecisionAck(body.data(), body.size(), &ack).ok()) {
-    loop->net->Close(link->conn);
-    return false;
+  // Everything else pairs with the expectation deque. Check before
+  // popping: a mismatch closes the link, and the teardown must still see
+  // the expectation it failed.
+  if (link->expect.empty()) return false;
+  const Expectation e = link->expect.front();
+  switch (e.kind) {
+    case Kind::kForward: {
+      if (frame.type != FrameType::kResponse) return false;
+      link->expect.pop_front();
+      server::Connection* session = loop->net->Find(e.session_id);
+      if (session == nullptr) return true;  // Session already closed.
+      std::vector<uint8_t> out;
+      AppendFrame(frame.type, frame.body, frame.body_len, &out);
+      session->Complete(e.ticket, std::move(out));
+      loop->net->FlushReplies(session);
+      return true;
+    }
+    case Kind::kVote: {
+      server::Vote vote;
+      if (frame.type != FrameType::kVote ||
+          !server::DecodeVote(frame.body, frame.body_len, &vote).ok() ||
+          vote.gtid != e.gtid) {
+        return false;
+      }
+      link->expect.pop_front();
+      OnVote(loop, link->shard_id, e.gtid, vote.status);
+      return true;
+    }
+    case Kind::kAck: {
+      server::DecisionAck ack;
+      if (frame.type != FrameType::kDecisionAck ||
+          !server::DecodeDecisionAck(frame.body, frame.body_len, &ack).ok() ||
+          ack.gtid != e.gtid) {
+        return false;
+      }
+      link->expect.pop_front();
+      OnDecisionAck(loop, link->shard_id, e.gtid, /*acked=*/true);
+      if (e.sweep) {
+        stats_.resolved_in_doubt.fetch_add(1, std::memory_order_relaxed);
+        if (--link->resolve_pending == 0) LinkUp(link);
+      }
+      return true;
+    }
   }
-  stats_.resolved_in_doubt.fetch_add(1, std::memory_order_relaxed);
-  if (--link->resolve_pending == 0) LinkUp(link);
-  return true;
+  return false;
 }
 
-bool ShardRouter::HandleLinkForwardReply(RouterLoop* loop, ShardLink* link,
-                                         FrameType type,
-                                         const std::vector<uint8_t>& body) {
-  if (link->expect.empty() || type != FrameType::kResponse) {
-    // A reply nothing asked for (or the wrong kind): the FIFO contract is
-    // broken and the stream can no longer be paired up.
-    loop->net->Close(link->conn);
-    return false;
+bool ShardRouter::ClassifyInDoubt(const RouterLoop* loop, uint64_t gtid,
+                                  bool* commit) const {
+  *commit = scanned_commits_.count(gtid) != 0;
+  if (*commit || gtid < gtid_base_) return true;  // Presumed abort below.
+  // This incarnation's gtid: only loop 0 knows its fate.
+  if (loop->index != 0) return false;
+  if (loop->unacked.count(gtid) != 0) {
+    *commit = true;
+    return true;
   }
-  const Expectation e = link->expect.front();
-  link->expect.pop_front();
-  server::Connection* session = loop->net->Find(e.session_id);
-  if (session == nullptr) return true;  // Session already closed.
-  std::vector<uint8_t> out;
-  AppendFrame(type, body.data(), body.size(), &out);
-  session->Complete(e.ticket, std::move(out));
-  loop->net->FlushReplies(session);
-  return true;
+  // A gtid still in 2PC that may commit gets its decision from its own
+  // state machine (this link counts as up for it); a doomed or forgotten
+  // one is aborted. A branch this sweep sees lost its vote with an earlier
+  // link unless the vote already arrived, so no gtid is aborted here while
+  // its commit can still become durable.
+  const auto it = loop->txns.find(gtid);
+  return it == loop->txns.end() || it->second.fail_code != StatusCode::kOk;
 }
 
 void ShardRouter::LinkUp(ShardLink* link) {
@@ -691,148 +762,58 @@ void ShardRouter::TeardownLink(RouterLoop* loop, ShardLink* link) {
   link->retry_deadline_ms =
       MonotonicMs() + half + XorShift64(&link->rng) % (half + 1);
   for (const Expectation& e : orphans) {
-    server::Connection* session = loop->net->Find(e.session_id);
-    if (session == nullptr) continue;
-    ReplyError(loop, session, e.ticket, e.request_id,
-               StatusCode::kUnavailable);
-  }
-}
-
-// --- Coordinator pool ----------------------------------------------------
-
-void ShardRouter::CoordinatorRun(Coordinator* coord) {
-  coord->clients.resize(num_shards());
-  for (;;) {
-    CrossShardJob job;
-    {
-      MutexLock lock(&jobs_mu_);
-      while (jobs_.empty() && !jobs_stopped_) jobs_cv_.Wait(&jobs_mu_);
-      if (jobs_stopped_) break;  // Queued jobs die with the sessions.
-      job = std::move(jobs_.front());
-      jobs_.pop_front();
+    switch (e.kind) {
+      case Kind::kForward:
+        if (server::Connection* session = loop->net->Find(e.session_id)) {
+          ReplyError(loop, session, e.ticket, e.request_id,
+                     StatusCode::kUnavailable);
+        }
+        break;
+      case Kind::kVote:
+        OnVote(loop, link->shard_id, e.gtid, StatusCode::kUnavailable);
+        break;
+      case Kind::kAck:
+        // A lost commit stays in `unacked`: the redial sweep delivers it.
+        if (!e.sweep) OnDecisionAck(loop, link->shard_id, e.gtid, false);
+        break;
     }
-    RunCrossShard(coord, job);
-  }
-  for (auto& client : coord->clients) {
-    if (client != nullptr) client->Close();
   }
 }
 
-Status ShardRouter::RecvFrameSliced(server::Client* client, FrameType* type,
-                                    std::vector<uint8_t>* body,
-                                    int64_t deadline_ms) {
-  for (;;) {
-    if (stop_.load(std::memory_order_acquire)) {
-      return Status::Unavailable("router stopping");
+// --- Cross-shard 2PC (loop 0) ---------------------------------------------
+
+void ShardRouter::StartWaiting(RouterLoop* loop) {
+  const size_t cap =
+      static_cast<size_t>(std::max(1, options_.coordinator_threads));
+  while (loop->txns.size() < cap && !loop->waiting.empty()) {
+    CrossShardJob next = std::move(loop->waiting.front());
+    loop->waiting.pop_front();
+    StartCrossShard(loop, std::move(next));
+  }
+}
+
+void ShardRouter::StartCrossShard(RouterLoop* loop, CrossShardJob job) {
+  for (uint32_t shard = 0; shard < num_shards(); ++shard) {
+    if (!job.shard_keys[shard].empty() &&
+        loop->links[shard]->state != ShardLink::State::kUp) {
+      // Like a forward to a down link: fail now, before anything prepares.
+      stats_.cross_shard_aborts.fetch_add(1, std::memory_order_relaxed);
+      ReplyCrossShard(loop, job, StatusCode::kUnavailable, 0);
+      return;
     }
-    const uint64_t now = MonotonicMs();
-    if (static_cast<int64_t>(now) >= deadline_ms) {
-      return Status::DeadlineExceeded("frame wait timed out");
-    }
-    // Short slices keep Stop() prompt even mid-vote-wait.
-    const int64_t slice =
-        std::min<int64_t>(100, deadline_ms - static_cast<int64_t>(now));
-    const Status s = client->RecvFrame(type, body, slice);
-    if (!s.IsDeadlineExceeded()) return s;
   }
-}
-
-void ShardRouter::ClassifyInDoubt(uint64_t gtid, bool* commit, bool* skip) {
-  MutexLock lock(&committed_mu_);
-  *commit = committed_.count(gtid) != 0;
-  // One critical section for both looks: a gtid that is neither committed
-  // nor active is decidedly dead (presumed abort). Checking the two sets
-  // under separate lock acquisitions would let a live transaction commit
-  // between them and be wrongly aborted.
-  *skip = !*commit && active_gtids_.count(gtid) != 0;
-}
-
-bool ShardRouter::EnsureShardClient(Coordinator* coord, uint32_t shard_id) {
-  auto& client = coord->clients[shard_id];
-  if (client == nullptr) client = std::make_unique<server::Client>();
-  if (client->connected()) return true;
-  if (stop_.load(std::memory_order_acquire)) return false;
-  const auto& [host, shard_port] = shard_addrs_[shard_id];
-  if (!client->Connect(host, shard_port, PeerRole::kCoordinator).ok()) {
-    client->Close();
-    return false;
-  }
-  // Resolve the shard's in-doubt backlog before using the connection; the
-  // stream carries nothing else yet, so the replies are unambiguous. This
-  // is also what un-parks a prepared branch orphaned by a vote timeout.
-  if (!ResolveInDoubtOn(client.get()).ok()) {
-    client->Close();
-    return false;
-  }
-  return true;
-}
-
-Status ShardRouter::ResolveInDoubtOn(server::Client* client) {
-  std::vector<uint8_t> enc;
-  server::EncodeInDoubtQuery(&enc);
-  NEXT700_RETURN_IF_ERROR(client->SendRaw(enc.data(), enc.size()));
-  FrameType type;
-  std::vector<uint8_t> body;
-  NEXT700_RETURN_IF_ERROR(RecvFrameSliced(
-      client, &type, &body, static_cast<int64_t>(MonotonicMs()) + 5000));
-  if (type != FrameType::kInDoubtList) {
-    return Status::InvalidArgument("shard answered in-doubt query with frame " +
-                                   std::to_string(static_cast<int>(type)));
-  }
-  server::InDoubtList list;
-  NEXT700_RETURN_IF_ERROR(
-      server::DecodeInDoubtList(body.data(), body.size(), &list));
-  for (const uint64_t gtid : list.gtids) {
-    bool commit = false;
-    bool skip = false;
-    ClassifyInDoubt(gtid, &commit, &skip);
-    if (skip) continue;  // A live coordinator thread owns this outcome.
-    server::Decision decision;
-    decision.gtid = gtid;
-    enc.clear();
-    server::EncodeDecision(
-        commit ? FrameType::kCommitDecision : FrameType::kAbortDecision,
-        decision, &enc);
-    NEXT700_RETURN_IF_ERROR(client->SendRaw(enc.data(), enc.size()));
-    NEXT700_RETURN_IF_ERROR(RecvFrameSliced(
-        client, &type, &body, static_cast<int64_t>(MonotonicMs()) + 5000));
-    server::DecisionAck ack;
-    if (type != FrameType::kDecisionAck ||
-        !server::DecodeDecisionAck(body.data(), body.size(), &ack).ok()) {
-      return Status::InvalidArgument("bad decision ack during resolution");
-    }
-    stats_.resolved_in_doubt.fetch_add(1, std::memory_order_relaxed);
-  }
-  return Status::OK();
-}
-
-void ShardRouter::RunCrossShard(Coordinator* coord, const CrossShardJob& job) {
-  const uint64_t gtid = NextGtid();
-  {
-    // Claim the gtid before any prepare leaves: a link's concurrent
-    // in-doubt sweep must skip it, not presume abort.
-    MutexLock lock(&committed_mu_);
-    active_gtids_.insert(gtid);
-  }
-
-  std::vector<uint32_t> participants;
-  for (uint32_t shard = 0; shard < job.shard_keys.size(); ++shard) {
-    if (!job.shard_keys[shard].empty()) participants.push_back(shard);
-  }
-
+  const uint64_t gtid = gtid_base_ + loop->gtids_issued++;
+  CrossShardTxn& txn = loop->txns[gtid];
+  txn.gtid = gtid;
+  txn.await.assign(num_shards(), CrossShardTxn::Await::kNothing);
+  txn.deadline_ms =
+      MonotonicMs() + static_cast<uint64_t>(options_.vote_timeout_ms);
   // Phase one: one Prepare per participating shard, carrying that shard's
   // slice of the key set (kKvRmw argument encoding) and the global
   // partition ids those keys map to.
-  bool any_no = false;
-  StatusCode fail_code = StatusCode::kOk;
-  std::vector<uint32_t> prepared;
-  for (const uint32_t shard : participants) {
-    if (!EnsureShardClient(coord, shard)) {
-      any_no = true;
-      if (fail_code == StatusCode::kOk) fail_code = StatusCode::kUnavailable;
-      continue;
-    }
+  for (uint32_t shard = 0; shard < num_shards(); ++shard) {
     const std::vector<uint64_t>& keys = job.shard_keys[shard];
+    if (keys.empty()) continue;
     server::Prepare prepare;
     prepare.gtid = gtid;
     prepare.proc_id = server::kKvRmw;
@@ -849,166 +830,215 @@ void ShardRouter::RunCrossShard(Coordinator* coord, const CrossShardJob& job) {
     for (const uint64_t key : keys) args.PutU64(key);
     std::vector<uint8_t> bytes;
     server::EncodePrepare(prepare, &bytes);
-    if (coord->clients[shard]->SendRaw(bytes.data(), bytes.size()).ok()) {
-      prepared.push_back(shard);
-    } else {
-      coord->clients[shard]->Close();
-      any_no = true;
-      if (fail_code == StatusCode::kOk) fail_code = StatusCode::kUnavailable;
-    }
+    loop->links[shard]->Send(loop->net.get(), bytes,
+                             Expectation{Kind::kVote, false, gtid});
+    txn.await[shard] = CrossShardTxn::Await::kVote;
   }
+  txn.job = std::move(job);
+  if (loop->gtids_issued == options_.crash_after_prepares_sent) {
+    loop->crash_gtid = gtid;
+  }
+}
 
-  if (options_.crash_after_prepares_sent > 0 && !prepared.empty() &&
-      cross_shard_started_.fetch_add(1, std::memory_order_relaxed) + 1 ==
-          options_.crash_after_prepares_sent) {
-    // Coordinator crash window: prepares are out, the decision is not
-    // logged. Participants are left in doubt; recovery must abort this
-    // gtid (presumed abort) without losing anything acked.
+void ShardRouter::OnVote(RouterLoop* loop, uint32_t shard_id, uint64_t gtid,
+                         StatusCode status) {
+  const auto it = loop->txns.find(gtid);
+  if (it == loop->txns.end() ||
+      it->second.await[shard_id] != CrossShardTxn::Await::kVote) {
+    return;
+  }
+  CrossShardTxn& txn = it->second;
+  txn.await[shard_id] = CrossShardTxn::Await::kNothing;
+  if (status == StatusCode::kOk) {
+    txn.yes_shards.push_back(shard_id);
+  } else if (txn.fail_code == StatusCode::kOk) {
+    txn.fail_code = status;
+  }
+  if (txn.Awaiting(CrossShardTxn::Await::kVote)) return;
+  if (gtid == loop->crash_gtid) {
+    // Coordinator crash window: every vote is in, so every prepare reached
+    // its shard, and the decision is not logged. Participants are left in
+    // doubt; recovery must abort this gtid (presumed abort) without losing
+    // anything acked.
     std::fflush(nullptr);
     ::_exit(42);
   }
+  if (txn.fail_code != StatusCode::kOk) {
+    SendDecisions(loop, &txn, /*commit=*/false);
+    return;
+  }
+  // The commit point: the decision is durable in the coordinator log
+  // before any reply or decision frame leaves this process. Aborts are
+  // never logged (presumed abort). The log's durable callback wakes this
+  // loop into CheckDecisionLog.
+  uint8_t decision_body[8];
+  server::StoreLE64(gtid, decision_body);
+  txn.decision_lsn = decision_log_->Append(
+      LogRecordType::kCoordDecision, decision_body, sizeof(decision_body));
+  txn.phase = CrossShardTxn::Phase::kLogging;
+}
 
-  // Collect votes in send order under one absolute deadline (each client
-  // is exclusively this thread's, so the per-connection FIFO pairs votes
-  // with prepares). A client whose vote never arrived is closed — its
-  // stream still owes a frame and could not be paired afterwards.
-  const int64_t vote_deadline =
-      static_cast<int64_t>(MonotonicMs()) + options_.vote_timeout_ms;
-  std::vector<uint32_t> yes_shards;
-  bool timed_out = false;
-  for (const uint32_t shard : prepared) {
-    FrameType type;
-    std::vector<uint8_t> body;
-    const Status s =
-        RecvFrameSliced(coord->clients[shard].get(), &type, &body,
-                        vote_deadline);
-    if (!s.ok()) {
-      coord->clients[shard]->Close();
-      any_no = true;
-      if (s.IsDeadlineExceeded()) timed_out = true;
-      if (fail_code == StatusCode::kOk) {
-        fail_code = s.IsDeadlineExceeded() ? StatusCode::kDeadlineExceeded
-                                           : StatusCode::kUnavailable;
-      }
-      continue;
-    }
-    server::Vote vote;
-    if (type != FrameType::kVote ||
-        !server::DecodeVote(body.data(), body.size(), &vote).ok() ||
-        vote.gtid != gtid) {
-      coord->clients[shard]->Close();
-      any_no = true;
-      if (fail_code == StatusCode::kOk) fail_code = StatusCode::kUnavailable;
-      continue;
-    }
-    if (vote.status == StatusCode::kOk) {
-      yes_shards.push_back(shard);
-    } else {
-      any_no = true;
-      if (fail_code == StatusCode::kOk) fail_code = vote.status;
+void ShardRouter::CheckDecisionLog(RouterLoop* loop) {
+  std::vector<uint64_t> logging;
+  for (const auto& [gtid, txn] : loop->txns) {
+    if (txn.phase == CrossShardTxn::Phase::kLogging) logging.push_back(gtid);
+  }
+  if (logging.empty()) return;
+  // Status first: after a device error durable_lsn never moves again, so
+  // a record not durable by then never will be.
+  const Status io = decision_log_->io_status();
+  const Lsn durable = decision_log_->durable_lsn();
+  for (const uint64_t gtid : logging) {
+    CrossShardTxn& txn = loop->txns.at(gtid);
+    if (txn.decision_lsn <= durable) {
+      loop->unacked[gtid] = txn.yes_shards;
+      stats_.commits_unacked.store(loop->unacked.size(),
+                                   std::memory_order_relaxed);
+      SendDecisions(loop, &txn, /*commit=*/true);
+    } else if (!io.ok()) {
+      // The decision log lost its device: no commit point, so abort.
+      txn.fail_code = io.code();
+      SendDecisions(loop, &txn, /*commit=*/false);
     }
   }
-  if (timed_out) {
-    stats_.vote_timeouts.fetch_add(1, std::memory_order_relaxed);
-  }
+}
 
-  bool commit = !any_no;
-  uint64_t decision_lsn = 0;
-  if (commit) {
-    // The commit point: the decision is durable in the coordinator log
-    // before any reply or decision frame leaves this process. Aborts are
-    // never logged (presumed abort).
-    uint8_t decision_body[8];
-    server::StoreLE64(gtid, decision_body);
-    decision_lsn = decision_log_->Append(LogRecordType::kCoordDecision,
-                                         decision_body, sizeof(decision_body));
-    const Status durable = decision_log_->WaitDurable(decision_lsn);
-    if (!durable.ok()) {
-      // Decision log device failure: we cannot claim the commit point, and
-      // we must not commit without it. Abort instead.
-      commit = false;
-      fail_code = durable.code();
-    } else {
-      MutexLock lock(&committed_mu_);
-      committed_.insert(gtid);
-    }
-  }
-
+void ShardRouter::SendDecisions(RouterLoop* loop, CrossShardTxn* txn,
+                                bool commit) {
   // Phase two: decisions to every shard that voted yes (the others already
   // rolled back when they voted no — presumed abort needs no message, but
   // a yes-voter is parked until told). Acks are awaited (bounded) so a
   // committed transaction is visible on every participant before the
-  // client hears about it; a straggler resolves through in-doubt recovery.
+  // client hears about it. A yes-voter whose link is down gets the
+  // decision from the link's redial sweep.
+  txn->commit = commit;
+  txn->phase = CrossShardTxn::Phase::kAcking;
+  txn->deadline_ms =
+      MonotonicMs() + static_cast<uint64_t>(options_.ack_timeout_ms);
   server::Decision decision;
-  decision.gtid = gtid;
-  std::vector<uint8_t> decision_bytes;
+  decision.gtid = txn->gtid;
+  std::vector<uint8_t> bytes;
   server::EncodeDecision(
       commit ? FrameType::kCommitDecision : FrameType::kAbortDecision,
-      decision, &decision_bytes);
-  const int64_t ack_deadline =
-      static_cast<int64_t>(MonotonicMs()) + options_.ack_timeout_ms;
-  for (const uint32_t shard : yes_shards) {
-    server::Client* client = coord->clients[shard].get();
-    if (!client->SendRaw(decision_bytes.data(), decision_bytes.size()).ok()) {
-      client->Close();  // In-doubt recovery replays the decision later.
-      continue;
-    }
-    FrameType type;
-    std::vector<uint8_t> body;
-    const Status s = RecvFrameSliced(client, &type, &body, ack_deadline);
-    server::DecisionAck ack;
-    if (!s.ok() || type != FrameType::kDecisionAck ||
-        !server::DecodeDecisionAck(body.data(), body.size(), &ack).ok()) {
-      client->Close();
-      continue;
-    }
+      decision, &bytes);
+  for (const uint32_t shard : txn->yes_shards) {
+    ShardLink* link = loop->links[shard].get();
+    if (link->conn == nullptr) continue;
+    link->Send(loop->net.get(), bytes,
+               Expectation{Kind::kAck, false, txn->gtid});
+    txn->await[shard] = CrossShardTxn::Await::kAck;
   }
-
-  {
-    MutexLock lock(&committed_mu_);
-    active_gtids_.erase(gtid);
+  if (!txn->Awaiting(CrossShardTxn::Await::kAck)) {
+    FinishCrossShard(loop, txn->gtid);
   }
-
-  // Reconnect (with in-doubt sweep) any participant we closed above: a
-  // branch that voted yes after the deadline is parked prepared, and the
-  // sweep's presumed abort is what unwinds it now rather than at the next
-  // cross-shard transaction.
-  if (!stop_.load(std::memory_order_acquire)) {
-    for (const uint32_t shard : participants) {
-      auto& client = coord->clients[shard];
-      if (client != nullptr && client->connected()) continue;
-      EnsureShardClient(coord, shard);  // Best effort.
-    }
-  }
-
-  if (commit) {
-    stats_.cross_shard_commits.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    stats_.cross_shard_aborts.fetch_add(1, std::memory_order_relaxed);
-  }
-  server::Response response;
-  response.request_id = job.request_id;
-  response.status = commit ? StatusCode::kOk
-                           : (fail_code == StatusCode::kOk
-                                  ? StatusCode::kAborted
-                                  : fail_code);
-  response.commit_lsn = decision_lsn;
-  CoordinatorResult result;
-  result.session_id = job.session_id;
-  result.ticket = job.ticket;
-  server::EncodeResponse(response, &result.encoded);
-  PostResult(job.loop_index, std::move(result));
 }
 
-void ShardRouter::PostResult(uint32_t loop_index, CoordinatorResult result) {
-  // Stop() joins the coordinator pool before the loops, so the target loop
-  // and its backend are alive for the Wakeup even mid-shutdown.
-  RouterLoop* loop = loops_[loop_index].get();
-  {
-    MutexLock lock(&loop->mu);
-    loop->pending_results.push_back(std::move(result));
+void ShardRouter::OnDecisionAck(RouterLoop* loop, uint32_t shard_id,
+                                uint64_t gtid, bool acked) {
+  const auto unacked = loop->unacked.find(gtid);
+  if (acked && unacked != loop->unacked.end()) {
+    std::vector<uint32_t>& shards = unacked->second;
+    shards.erase(std::remove(shards.begin(), shards.end(), shard_id),
+                 shards.end());
+    if (shards.empty()) {
+      // Presumed abort lets the coordinator forget a commit every
+      // participant has acknowledged.
+      loop->unacked.erase(unacked);
+      stats_.commits_unacked.store(loop->unacked.size(),
+                                   std::memory_order_relaxed);
+    }
   }
-  loop->net->Wakeup();
+  const auto it = loop->txns.find(gtid);
+  if (it == loop->txns.end() ||
+      it->second.await[shard_id] != CrossShardTxn::Await::kAck) {
+    return;
+  }
+  it->second.await[shard_id] = CrossShardTxn::Await::kNothing;
+  if (!it->second.Awaiting(CrossShardTxn::Await::kAck)) {
+    FinishCrossShard(loop, gtid);
+  }
+}
+
+void ShardRouter::FinishCrossShard(RouterLoop* loop, uint64_t gtid) {
+  const auto it = loop->txns.find(gtid);
+  const CrossShardTxn txn = std::move(it->second);
+  loop->txns.erase(it);
+  if (txn.commit) {
+    stats_.cross_shard_commits.fetch_add(1, std::memory_order_relaxed);
+    ReplyCrossShard(loop, txn.job, StatusCode::kOk, txn.decision_lsn);
+  } else {
+    stats_.cross_shard_aborts.fetch_add(1, std::memory_order_relaxed);
+    ReplyCrossShard(loop, txn.job, txn.fail_code, 0);
+  }
+  StartWaiting(loop);
+}
+
+uint64_t ShardRouter::RunCrossShardTimers(RouterLoop* loop, uint64_t now_ms) {
+  std::vector<uint64_t> due;
+  for (const auto& [gtid, txn] : loop->txns) {
+    if (txn.phase != CrossShardTxn::Phase::kLogging &&
+        txn.deadline_ms <= now_ms) {
+      due.push_back(gtid);
+    }
+  }
+  for (const uint64_t gtid : due) {
+    auto it = loop->txns.find(gtid);
+    // An earlier expiry in this pass may have finished or re-armed it.
+    if (it == loop->txns.end() || it->second.deadline_ms > now_ms) continue;
+    if (it->second.phase == CrossShardTxn::Phase::kAcking) {
+      // The decision is durable; a straggler resolves through its link's
+      // next in-doubt sweep.
+      FinishCrossShard(loop, gtid);
+      continue;
+    }
+    // Vote deadline: close every link still owing a vote. The stream owes
+    // a frame and can no longer be paired, and the redial sweep is what
+    // presume-aborts the orphaned branch. Each teardown fails the vote,
+    // and the last one decides (abort).
+    stats_.vote_timeouts.fetch_add(1, std::memory_order_relaxed);
+    if (it->second.fail_code == StatusCode::kOk) {
+      it->second.fail_code = StatusCode::kDeadlineExceeded;
+    }
+    for (uint32_t shard = 0; shard < num_shards(); ++shard) {
+      it = loop->txns.find(gtid);
+      if (it == loop->txns.end()) break;
+      if (it->second.await[shard] == CrossShardTxn::Await::kVote) {
+        loop->net->Close(loop->links[shard]->conn);
+      }
+    }
+  }
+  uint64_t next = UINT64_MAX;
+  for (const auto& [gtid, txn] : loop->txns) {
+    if (txn.phase != CrossShardTxn::Phase::kLogging) {
+      next = std::min(next, txn.deadline_ms);
+    }
+  }
+  return next;
+}
+
+void ShardRouter::ReplyCrossShard(RouterLoop* loop, const CrossShardJob& job,
+                                  StatusCode status, Lsn commit_lsn) {
+  CrossShardResult result{job.session_id, job.ticket,
+                          EncodeReply(job.request_id, status, commit_lsn)};
+  if (job.loop_index == loop->index) {
+    CompleteResult(loop, std::move(result));
+    return;
+  }
+  // Loops outlive every wakeup: Stop() joins all loop threads before it
+  // destroys any of them.
+  RouterLoop* target = loops_[job.loop_index].get();
+  {
+    MutexLock lock(&target->mu);
+    target->pending_results.push_back(std::move(result));
+  }
+  target->net->Wakeup();
+}
+
+void ShardRouter::CompleteResult(RouterLoop* loop, CrossShardResult result) {
+  server::Connection* conn = loop->net->Find(result.session_id);
+  if (conn == nullptr) return;  // The session died mid-2PC.
+  conn->Complete(result.ticket, std::move(result.encoded));
+  loop->net->FlushReplies(conn);
 }
 
 }  // namespace shard

@@ -29,31 +29,31 @@
 /// Threading: the session tier is N server::EventLoop threads — the
 /// connection loop the server uses (event_loop.h). Loop 0 owns the
 /// listener and round-robins accepted sockets across loops; each loop owns
-/// its share of client sessions plus one *forwarding connection per shard*,
-/// all in its one connection table. The fast path never leaves its loop:
-/// forwards staged across one read burst go out with one gather write per
-/// shard link, forward replies pair with a per-link FIFO expectation
-/// deque, and the per-session ticket reorder buffer releases client
-/// responses in request order. Shard links reconnect with jittered backoff
-/// driven by the loop's reap timeout (never a blind sleep), and a link
-/// resolves the shard's in-doubt backlog before accepting forwards.
+/// its share of client sessions plus one *link per shard*, all in its one
+/// connection table. The fast path never leaves its loop: forwards staged
+/// across one read burst go out with one gather write per shard link,
+/// replies pair with a per-link FIFO expectation deque, and the
+/// per-session ticket reorder buffer releases client responses in request
+/// order. Shard links reconnect with jittered backoff driven by the loop's
+/// reap timeout (never a blind sleep), and a link resolves the shard's
+/// in-doubt backlog before accepting forwards.
 ///
-/// Cross-shard 2PC runs on a small dedicated coordinator pool — blocking
-/// threads with their own shard connections — so event loops never block
-/// on votes; the finished reply is posted back to the owning loop through
-/// its inbox + Wakeup, and the session's reorder buffer slots it into
-/// order. A shared (committed, active) gtid map keeps a reconnecting
-/// link's in-doubt sweep from aborting a transaction a coordinator thread
-/// is still driving. Stop() is prompt: every blocking wait is sliced
-/// against stop_, and WaitShardsConnected parks on a condvar with a
-/// deadline rather than a poll loop.
+/// Cross-shard 2PC is a per-gtid state machine on loop 0 over loop 0's
+/// shard links, so prepares, decisions and forwards share one connection
+/// per shard, and votes and acks pair with the same expectation deque.
+/// Other loops hand jobs to loop 0, and get replies back, through inbox +
+/// Wakeup. Vote and ack deadlines run from loop 0's timers; a missed vote
+/// closes loop 0's link to that shard, whose redial sweep presume-aborts
+/// the orphaned branch. The decision log's durable callback wakes loop 0,
+/// which never blocks on it. In-doubt classification takes no lock: the
+/// log scan is immutable after Start(), only loop 0 decides this
+/// incarnation's gtids (other loops' sweeps skip them), and loop 0 forgets
+/// a commit once every yes-voter has acked it.
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
-#include <thread>
 #include <unordered_set>
 #include <vector>
 
@@ -61,7 +61,6 @@
 #include "common/thread_safety.h"
 #include "io/io_backend.h"
 #include "log/log_manager.h"
-#include "server/client.h"
 #include "server/connection.h"
 #include "server/event_loop.h"
 #include "server/protocol.h"
@@ -88,16 +87,20 @@ struct ShardRouterOptions {
   /// anyway (the decision is already durable; a slow participant resolves
   /// through in-doubt recovery).
   int64_t ack_timeout_ms = 5000;
-  /// Crash hook: _exit(42) right after the prepares of the Nth cross-shard
-  /// transaction hit the wire — before the decision is logged. The
-  /// crashtest harness uses this to create coordinator in-doubt windows.
+  /// Crash hook: _exit(42) once every vote of the Nth cross-shard
+  /// transaction is in (its prepares reached every shard) — before the
+  /// decision is logged. The crashtest harness uses this to create
+  /// coordinator in-doubt windows.
   uint64_t crash_after_prepares_sent = 0;
   /// Async backend for the event-loop session tier (kAuto probes uring,
   /// falls back to epoll).
   io::IoBackendKind io_backend = io::IoBackendKind::kAuto;
   /// Event-loop thread count; 0 = auto (min(4, cores/2), at least 1).
   int num_loops = 0;
-  /// Blocking 2PC coordinator threads (cross-shard transactions only).
+  /// Cap on cross-shard transactions in 2PC at once (the name predates the
+  /// event-loop coordinator); the excess waits in FIFO order. Each prepared
+  /// branch parks a shard worker until its decision, so keep shard workers
+  /// >= this.
   int coordinator_threads = 2;
 };
 
@@ -109,6 +112,9 @@ struct ShardRouterStats : server::LoopStats {
   std::atomic<uint64_t> cross_shard_aborts{0};
   std::atomic<uint64_t> vote_timeouts{0};
   std::atomic<uint64_t> resolved_in_doubt{0};
+  /// Gauge: runtime commits some yes-voter has not acked yet. Loop 0
+  /// forgets a commit at its last ack, so this returns to 0 when idle.
+  std::atomic<uint64_t> commits_unacked{0};
   /// Session lifecycle: live sessions == accepted - closed. The churn test
   /// pins this to zero after disconnect storms (the old thread-per-session
   /// tier leaked a session object + thread handle per dead client).
@@ -124,8 +130,7 @@ class ShardRouter {
   ShardRouter& operator=(const ShardRouter&) = delete;
 
   /// Scans the decision log for prior commits, opens it for appending,
-  /// binds the listen socket, and starts the event loops + coordinator
-  /// pool. Shard links are established asynchronously; use
+  /// binds the listen socket, and starts the event loops. Shard links are established asynchronously; use
   /// WaitShardsConnected() for a deterministic ready point.
   Status Start();
   void Stop();
@@ -148,46 +153,17 @@ class ShardRouter {
   uint32_t num_loops() const { return static_cast<uint32_t>(loops_.size()); }
 
   /// Kernel entries issued by the event-loop backends (live counters plus
-  /// those of loops already stopped). Excludes the blocking coordinator
-  /// pool — this measures the fast path's syscall budget. Safe to call
-  /// while running or after Stop(); not concurrently *with* Stop().
+  /// those of loops already stopped), 2PC traffic included: every shard
+  /// connection the router has is a loop link. Safe to call while running
+  /// or after Stop(); not concurrently *with* Stop().
   uint64_t io_syscalls() const;
 
  private:
   struct RouterLoop;
   struct ShardLink;
-  struct Coordinator;
-
-  /// A cross-shard kKvRmw handed from an event loop to the coordinator
-  /// pool. Identifies the reply slot by (loop, session id, ticket) — never
-  /// by pointer, so a session that dies mid-2PC just drops the result.
-  struct CrossShardJob {
-    uint32_t loop_index = 0;
-    uint64_t session_id = 0;
-    uint64_t ticket = 0;
-    uint64_t request_id = 0;
-    /// Per-shard key slices (index == shard id; empty == not a participant).
-    std::vector<std::vector<uint64_t>> shard_keys;
-  };
-
-  /// Finished 2PC reply, posted back to the owning loop's inbox.
-  struct CoordinatorResult {
-    uint64_t session_id = 0;
-    uint64_t ticket = 0;
-    std::vector<uint8_t> encoded;
-  };
-
-  /// What the next reply frame on a shard link answers. The shard server
-  /// guarantees per-connection FIFO replies, so a deque of these, pushed
-  /// in send order by the owning loop, always matches.
-  struct Expectation {
-    uint64_t session_id = 0;
-    uint64_t ticket = 0;
-    /// Echoed in the kUnavailable reply when the link dies with the
-    /// forward in flight — a reply with a made-up request id would
-    /// desynchronize clients that match responses by id.
-    uint64_t request_id = 0;
-  };
+  struct CrossShardJob;
+  struct CrossShardResult;
+  struct CrossShardTxn;
 
   // --- Client sessions ----------------------------------------------------
   /// Decodes and routes buffered frames; returns false when the session
@@ -198,7 +174,7 @@ class ShardRouter {
 
   /// Routes one decoded client request. Single-shard forwards are staged
   /// on the owning loop's shard link (one gather write per link per reap
-  /// batch); cross-shard kKvRmw is handed to the coordinator pool.
+  /// batch); cross-shard kKvRmw is handed to loop 0's 2PC.
   void RouteRequest(RouterLoop* loop, server::Connection* conn,
                     uint64_t ticket, const server::Frame& frame);
   void StageForward(RouterLoop* loop, server::Connection* conn,
@@ -210,37 +186,42 @@ class ShardRouter {
   /// Returns false when the link was torn down mid-drain (closing a link's
   /// connection tears the link down through the OnClosed hook).
   bool DrainLinkFrames(RouterLoop* loop, ShardLink* link);
-  bool HandleLinkHandshakeFrame(RouterLoop* loop, ShardLink* link,
-                                server::FrameType type,
-                                const std::vector<uint8_t>& body);
-  bool HandleLinkForwardReply(RouterLoop* loop, ShardLink* link,
-                              server::FrameType type,
-                              const std::vector<uint8_t>& body);
+  /// Returns false when the frame breaks the link's protocol (the caller
+  /// closes the link).
+  bool HandleLinkFrame(RouterLoop* loop, ShardLink* link,
+                       const server::Frame& frame);
+  /// Sets *commit for an in-doubt gtid; returns false when `loop` must
+  /// leave it alone (loop 0 owns it and may still commit it).
+  bool ClassifyInDoubt(const RouterLoop* loop, uint64_t gtid,
+                       bool* commit) const;
   void LinkUp(ShardLink* link);
   /// The link's connection is gone (or never came up): fails outstanding
-  /// expectations with kUnavailable and schedules a jittered reconnect.
+  /// forwards with kUnavailable, fails its outstanding votes and acks, and
+  /// schedules a jittered reconnect.
   void TeardownLink(RouterLoop* loop, ShardLink* link);
 
-  // --- Coordinator pool (blocking 2PC) ------------------------------------
-  void CoordinatorRun(Coordinator* coord);
-  void RunCrossShard(Coordinator* coord, const CrossShardJob& job);
-  bool EnsureShardClient(Coordinator* coord, uint32_t shard_id);
-  /// In-doubt sweep over a fresh blocking connection; skips gtids a live
-  /// coordinator still owns (the active set).
-  Status ResolveInDoubtOn(server::Client* client);
-  void PostResult(uint32_t loop_index, CoordinatorResult result);
-  /// Bounded RecvFrame that slices the wait against stop_.
-  Status RecvFrameSliced(server::Client* client, server::FrameType* type,
-                         std::vector<uint8_t>* body, int64_t deadline_ms);
-
-  /// committed/active check for one in-doubt gtid, one critical section:
-  /// *commit set => replay commit; active set => skip (a live coordinator
-  /// owns the outcome); neither => presumed abort.
-  void ClassifyInDoubt(uint64_t gtid, bool* commit, bool* skip);
-
-  uint64_t NextGtid() {
-    return gtid_base_ + gtid_seq_.fetch_add(1, std::memory_order_relaxed);
-  }
+  // --- Cross-shard 2PC (loop 0 only) -------------------------------------
+  /// Starts waiting jobs, in arrival order, while the cap allows.
+  void StartWaiting(RouterLoop* loop);
+  void StartCrossShard(RouterLoop* loop, CrossShardJob job);
+  /// Records a vote (a lost one fails); once every vote is in, appends
+  /// the commit decision or aborts.
+  void OnVote(RouterLoop* loop, uint32_t shard_id, uint64_t gtid,
+              StatusCode status);
+  /// `acked` is false when the link died with the ack outstanding.
+  void OnDecisionAck(RouterLoop* loop, uint32_t shard_id, uint64_t gtid,
+                     bool acked);
+  /// Durable-callback wakeup: commits whose decision is durable, aborts
+  /// when the decision log failed.
+  void CheckDecisionLog(RouterLoop* loop);
+  void SendDecisions(RouterLoop* loop, CrossShardTxn* txn, bool commit);
+  void FinishCrossShard(RouterLoop* loop, uint64_t gtid);
+  /// Vote and ack deadlines; returns the next one (UINT64_MAX for none).
+  uint64_t RunCrossShardTimers(RouterLoop* loop, uint64_t now_ms);
+  /// Answers a cross-shard job on its session's loop.
+  void ReplyCrossShard(RouterLoop* loop, const CrossShardJob& job,
+                       StatusCode status, Lsn commit_lsn);
+  void CompleteResult(RouterLoop* loop, CrossShardResult result);
 
   ShardRouterOptions options_;
   ShardRouterStats stats_;
@@ -252,19 +233,12 @@ class ShardRouter {
   std::vector<std::pair<std::string, uint16_t>> shard_addrs_;
 
   std::unique_ptr<LogManager> decision_log_;
+  /// Commit decisions of earlier incarnations (the log scan); immutable
+  /// after Start(), so every loop reads it without a lock.
+  std::unordered_set<uint64_t> scanned_commits_;
+  /// This incarnation's gtids are gtid_base_ + n (wall-clock nanoseconds
+  /// at Start(), so earlier incarnations' gtids lie below it).
   uint64_t gtid_base_ = 0;
-  std::atomic<uint64_t> gtid_seq_{0};
-  std::atomic<uint64_t> cross_shard_started_{0};
-
-  mutable Mutex committed_mu_;
-  /// Every gtid with a durable commit decision (log scan + runtime).
-  std::unordered_set<uint64_t> committed_ GUARDED_BY(committed_mu_);
-  /// Gtids whose 2PC a coordinator thread is currently driving. Guarded by
-  /// the same mutex as committed_ so an in-doubt sweep classifies a gtid
-  /// (committed / active / presumed-abort) in one atomic look — without
-  /// this a link reconnect could presume-abort a healthy transaction whose
-  /// commit decision is still being logged.
-  std::unordered_set<uint64_t> active_gtids_ GUARDED_BY(committed_mu_);
 
   /// Link-up accounting for WaitShardsConnected.
   mutable Mutex shards_mu_;
@@ -275,13 +249,6 @@ class ShardRouter {
   std::atomic<uint32_t> accept_rr_{0};
   /// Syscalls of backends already destroyed (accumulated in Stop()).
   std::atomic<uint64_t> io_syscalls_retired_{0};
-
-  // Cross-shard job queue feeding the coordinator pool.
-  mutable Mutex jobs_mu_;
-  CondVar jobs_cv_;
-  std::deque<CrossShardJob> jobs_ GUARDED_BY(jobs_mu_);
-  bool jobs_stopped_ GUARDED_BY(jobs_mu_) = false;
-  std::vector<std::unique_ptr<Coordinator>> coordinators_;
 };
 
 }  // namespace shard

@@ -526,6 +526,13 @@ TEST(LogManagerTest, PersistentIoErrorIsStickyNotFatal) {
   };
   LogManager log(options);
   ASSERT_TRUE(log.Open().ok());
+  // Subscribers that never block in WaitDurable still hear of the failure.
+  std::atomic<int> callbacks{0};
+  std::atomic<Lsn> reported{1};
+  log.SetDurableCallback([&](Lsn durable) {
+    reported.store(durable);
+    callbacks.fetch_add(1);
+  });
   const std::vector<uint8_t> body(16, 1);
   const Lsn lsn = log.Append(LogRecordType::kTxnValue, body);
   EXPECT_EQ(log.WaitDurable(lsn).code(), StatusCode::kIOError);
@@ -533,7 +540,9 @@ TEST(LogManagerTest, PersistentIoErrorIsStickyNotFatal) {
   EXPECT_EQ(log.WaitDurable(lsn).code(), StatusCode::kIOError);
   EXPECT_EQ(log.io_status().code(), StatusCode::kIOError);
   EXPECT_EQ(log.durable_lsn(), 0u);
-  log.Close();
+  log.Close();  // Joins the flusher, so its last callback has run.
+  EXPECT_EQ(callbacks.load(), 1);
+  EXPECT_EQ(reported.load(), 0u);
 }
 
 /// Tailing the durable frame stream while a writer keeps appending and

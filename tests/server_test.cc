@@ -164,7 +164,13 @@ TEST_P(ServerTest, RepliesAreOrderedEvenWhenRequestIdsRepeat) {
 }
 
 TEST_P(ServerTest, CommittedRepliesAreDurableWhenValueLogged) {
-  Service service = StartService(CcScheme::kOcc, LoggingKind::kValue);
+  // A slow log device keeps every flush in flight well past the reply's
+  // HoldUntilDurable check, so the hold path is taken by construction
+  // rather than by winning a race with the flusher (which a sanitizer
+  // build's slower workers lose).
+  Service service = StartService(
+      CcScheme::kOcc, LoggingKind::kValue, {}, 2,
+      [](EngineOptions& eng) { eng.log_device_latency_us = 2000; });
   LogManager* log = service.engine->log_manager();
   ASSERT_NE(log, nullptr);
   Client client;

@@ -16,6 +16,7 @@
 
 #include <chrono>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -72,7 +73,10 @@ std::string TempBase() {
   return std::string(::testing::TempDir()) + "/next700_shardtest_" + slug;
 }
 
-void StartShard(Topology* topo, uint32_t shard_id, const std::string& dir) {
+using EngineTweak = std::function<void(uint32_t shard_id, EngineOptions*)>;
+
+void StartShard(Topology* topo, uint32_t shard_id, const std::string& dir,
+                const EngineTweak& tweak) {
   EngineOptions eng;
   eng.cc_scheme = CcScheme::kOcc;
   eng.max_threads = 2;
@@ -80,6 +84,7 @@ void StartShard(Topology* topo, uint32_t shard_id, const std::string& dir) {
   eng.logging = LoggingKind::kValue;
   RemoveLogDir(dir);
   eng.log_dir = dir;
+  if (tweak) tweak(shard_id, &eng);
   topo->engines[shard_id] = std::make_unique<Engine>(eng);
   server::KvServiceOptions kv;
   kv.num_records = kRecords;
@@ -93,11 +98,14 @@ void StartShard(Topology* topo, uint32_t shard_id, const std::string& dir) {
   ASSERT_TRUE(topo->servers[shard_id]->Start().ok());
 }
 
-void StartTopology(Topology* topo, const std::string& base_dir,
-                   io::IoBackendKind io_backend) {
+/// `tweak` adjusts the router's options, `engine_tweak` each shard's.
+void StartTopology(
+    Topology* topo, const std::string& base_dir, io::IoBackendKind io_backend,
+    const std::function<void(ShardRouterOptions*)>& tweak = nullptr,
+    const EngineTweak& engine_tweak = nullptr) {
   ShardRouterOptions ropts;
   for (uint32_t i = 0; i < kNumShards; ++i) {
-    StartShard(topo, i, base_dir + "_s" + std::to_string(i));
+    StartShard(topo, i, base_dir + "_s" + std::to_string(i), engine_tweak);
     if (::testing::Test::HasFatalFailure()) return;
     ropts.shards.push_back(
         "127.0.0.1:" + std::to_string(topo->servers[i]->port()));
@@ -106,6 +114,7 @@ void StartTopology(Topology* topo, const std::string& base_dir,
   ropts.log_dir = base_dir + "_rt";
   ropts.vote_timeout_ms = 2000;
   ropts.io_backend = io_backend;
+  if (tweak) tweak(&ropts);
   topo->router = std::make_unique<ShardRouter>(ropts);
   ASSERT_TRUE(topo->router->Start().ok());
   ASSERT_TRUE(topo->router->WaitShardsConnected(15000));
@@ -288,6 +297,121 @@ TEST_P(ShardRouterTest, RouterRestartReplaysDecisionLog) {
   EXPECT_EQ(CounterOf(response), 11u + 1);
   ASSERT_TRUE(client.Call(RmwRequest(3, {10, 11}), &response).ok());
   EXPECT_EQ(response.status, StatusCode::kOk);
+}
+
+/// Reads `key` through the router until the read commits (a read can meet
+/// a branch that is still resolving) and returns its counter.
+uint64_t ReadCounter(server::Client* client, uint64_t key) {
+  server::Response response;
+  for (int attempt = 0; attempt < 200; ++attempt) {
+    EXPECT_TRUE(client->Call(GetRequest(key, key), &response, 10000).ok());
+    if (response.status != StatusCode::kAborted &&
+        response.status != StatusCode::kUnavailable) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  EXPECT_EQ(response.status, StatusCode::kOk) << "key " << key;
+  return CounterOf(response);
+}
+
+// 2PC rides the loop links: with two loops, each shard sees exactly one
+// connection per loop, however much cross-shard traffic flows (a second
+// 2PC transport would dial connections of its own).
+TEST_P(ShardRouterTest, OneConnectionPerLoopPerShard) {
+  Topology topo;
+  StartTopology(&topo, TempBase(), GetParam(),
+                [](ShardRouterOptions* o) { o->num_loops = 2; });
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+
+  // Two sessions land on different loops, so loop 1's cross-shard jobs
+  // take the hand-off to loop 0 and back.
+  for (int c = 0; c < 2; ++c) {
+    server::Client client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", topo.router->port()).ok());
+    for (uint64_t i = 0; i < 4; ++i) {
+      server::Response response;
+      ASSERT_TRUE(client.Call(GetRequest(i, i), &response).ok());
+      EXPECT_EQ(response.status, StatusCode::kOk);
+      ASSERT_TRUE(client.Call(RmwRequest(i, {2 * i, 2 * i + 1}), &response)
+                      .ok());
+      EXPECT_EQ(response.status, StatusCode::kOk);
+    }
+  }
+  EXPECT_EQ(topo.router->stats().cross_shard_commits.load(), 8u);
+  for (uint32_t i = 0; i < kNumShards; ++i) {
+    EXPECT_EQ(topo.servers[i]->stats().connections_accepted.load(), 2u)
+        << "shard " << i;
+  }
+}
+
+// A live but slow participant: shard 1's log device takes several vote
+// timeouts to make a prepare durable. The transaction must answer
+// kDeadlineExceeded promptly, the timeout must close and redial loop 0's
+// link, and the redial sweep must abort the orphaned branch — so both
+// halves keep their seeds.
+TEST_P(ShardRouterTest, VoteTimeoutAbortsAndLinkRecovers) {
+  constexpr int64_t kVoteTimeoutMs = 300;
+  Topology topo;
+  StartTopology(
+      &topo, TempBase(), GetParam(),
+      [](ShardRouterOptions* o) { o->vote_timeout_ms = kVoteTimeoutMs; },
+      [](uint32_t shard_id, EngineOptions* eng) {
+        if (shard_id == 1) eng->log_device_latency_us = 1500 * 1000;
+      });
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+
+  server::Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", topo.router->port()).ok());
+  server::Response response;
+  const auto t0 = std::chrono::steady_clock::now();
+  ASSERT_TRUE(client.Call(RmwRequest(1, {20, 21}), &response, 10000).ok());
+  const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - t0);
+  EXPECT_EQ(response.status, StatusCode::kDeadlineExceeded);
+  EXPECT_LT(elapsed.count(), kVoteTimeoutMs + 1000);
+  EXPECT_EQ(topo.router->stats().vote_timeouts.load(), 1u);
+  EXPECT_EQ(topo.router->stats().cross_shard_commits.load(), 0u);
+
+  EXPECT_TRUE(topo.router->WaitShardsConnected(15000));
+  EXPECT_GE(topo.router->stats().resolved_in_doubt.load(), 1u);
+  EXPECT_EQ(ReadCounter(&client, 20), 20u);
+  EXPECT_EQ(ReadCounter(&client, 21), 21u);
+  EXPECT_EQ(topo.router->stats().vote_timeouts.load(), 1u);
+}
+
+// The coordinator_threads cap: 32 pipelined cross-shard rmw on one pair
+// with at most 2 in 2PC (and 2 workers per shard) all commit, reply in
+// request order, and leave no commit state behind once acked. The shards
+// run H-Store so each serializes a partition's prepares in arrival order:
+// both shards then prepare the two concurrent gtids in the same order,
+// where spinning OCC locks could let each shard favour a different gtid
+// and deadlock the pair until the vote timeout.
+TEST_P(ShardRouterTest, CappedCrossShardPipelineCommitsInOrder) {
+  constexpr uint64_t kTxns = 32;
+  Topology topo;
+  StartTopology(
+      &topo, TempBase(), GetParam(),
+      [](ShardRouterOptions* o) { o->coordinator_threads = 2; },
+      [](uint32_t, EngineOptions* eng) { eng->cc_scheme = CcScheme::kHstore; });
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+
+  server::Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", topo.router->port()).ok());
+  for (uint64_t i = 0; i < kTxns; ++i) {
+    ASSERT_TRUE(client.Send(RmwRequest(i, {30, 31})).ok());
+  }
+  for (uint64_t i = 0; i < kTxns; ++i) {
+    server::Response response;
+    ASSERT_TRUE(client.Recv(&response, 30000).ok()) << "reply " << i;
+    EXPECT_EQ(response.request_id, i);
+    EXPECT_EQ(response.status, StatusCode::kOk) << "reply " << i;
+  }
+  EXPECT_EQ(topo.router->stats().cross_shard_commits.load(), kTxns);
+  EXPECT_EQ(ReadCounter(&client, 30), 30 + kTxns);
+  EXPECT_EQ(ReadCounter(&client, 31), 31 + kTxns);
+  // Every reply waited for its acks, so nothing is left unacked.
+  EXPECT_EQ(topo.router->stats().commits_unacked.load(), 0u);
 }
 
 // Lifecycle regression: the old AcceptLoop pushed a ClientSession and a
