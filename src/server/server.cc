@@ -52,19 +52,18 @@ Status Server::Start() {
 
   if (engine_->log_manager() != nullptr) {
     // One durable callback serves two consumers: releasing held replies
-    // (sync commit) and waking the loop to ship freshly durable bytes to
-    // replicas. The flusher thread must not touch loop-owned connection
-    // state, so shipping is signalled through a flag + the backend's
-    // thread-safe Wakeup.
-    const bool sync_commit = engine_->options().sync_commit;
-    engine_->log_manager()->SetDurableCallback(
-        [this, sync_commit](Lsn durable) {
-          if (sync_commit) ReleaseDurable(ReleaseWatermark(durable));
-          if (replica_count_.load(std::memory_order_acquire) > 0) {
-            ship_pending_.store(true, std::memory_order_release);
-            loop_->Wakeup();
-          }
-        });
+    // (sync-commit replies, and commit DecisionAcks in every mode) and
+    // waking the loop to ship freshly durable bytes to replicas. The
+    // flusher thread must not touch loop-owned connection state, so
+    // shipping is signalled through a flag + the backend's thread-safe
+    // Wakeup.
+    engine_->log_manager()->SetDurableCallback([this](Lsn durable) {
+      ReleaseDurable(ReleaseWatermark(durable));
+      if (replica_count_.load(std::memory_order_acquire) > 0) {
+        ship_pending_.store(true, std::memory_order_release);
+        loop_->Wakeup();
+      }
+    });
   }
 
   // Requests and Prepares stay fenced out until every in-doubt transaction
@@ -856,12 +855,12 @@ void Server::RunPrepare(int worker_id, WorkItem* item) {
   completion.conn_id = ack_conn_id;
   completion.seq = ack_seq;
   EncodeDecisionAck(ack, &completion.encoded);
-  // Decision durable before ack: the commit outcome record must be on disk
-  // before the coordinator may forget the transaction.
-  const Lsn outcome_lsn = do_commit && ack.status == StatusCode::kOk &&
-                                  engine_->options().sync_commit
-                              ? txn->commit_lsn()
-                              : 0;
+  // Decision durable before ack, async commit included: the coordinator
+  // forgets a commit once every participant acked it, so an ack that beat
+  // its outcome record to disk could let a crash presume-abort a branch
+  // the other participants committed.
+  const Lsn outcome_lsn =
+      do_commit && ack.status == StatusCode::kOk ? txn->commit_lsn() : 0;
   if (!HoldUntilDurable(outcome_lsn, &completion)) {
     PushCompletion(std::move(completion));
   }

@@ -80,12 +80,6 @@ uint64_t XorShift64(uint64_t* state) {
   return x;
 }
 
-uint32_t ResolveNumLoops(int requested) {
-  if (requested > 0) return static_cast<uint32_t>(requested);
-  const unsigned hw = std::thread::hardware_concurrency();
-  return std::max(1u, std::min(4u, hw / 2));
-}
-
 /// What the next reply frame on a shard link, after the handshake, answers.
 /// The shard server replies in per-connection request order, so a deque of
 /// these, pushed in send order, always matches; a reply of the wrong frame
@@ -96,9 +90,8 @@ struct Expectation {
   /// kAck of a decision the in-doubt sweep sent (counts toward link-up).
   bool sweep = false;
   uint64_t gtid = 0;  // kVote, kAck.
-  // kForward: the reply slot. request_id is echoed in the kUnavailable
-  // reply when the link dies with the forward in flight — a made-up id
-  // would desynchronize clients that match responses by id.
+  // kForward: the reply slot; request_id is echoed if the link dies with
+  // the forward in flight (clients match responses by id).
   uint64_t session_id = 0;
   uint64_t ticket = 0;
   uint64_t request_id = 0;
@@ -186,12 +179,12 @@ struct ShardRouter::CrossShardTxn {
   std::vector<Await> await;  // index == shard id
   std::vector<uint32_t> yes_shards;
   /// First failure (a no vote, a lost or late vote, a decision-log
-  /// error); kOk while the transaction may still commit.
+  /// error, Stop()); kOk while the transaction may still commit, and once
+  /// it is acking, kOk means it committed.
   StatusCode fail_code = StatusCode::kOk;
   /// The vote deadline while kVoting, the ack deadline while kAcking.
   uint64_t deadline_ms = 0;
   Lsn decision_lsn = 0;
-  bool commit = false;
 
   bool Awaiting(Await what) const {
     return std::find(await.begin(), await.end(), what) != await.end();
@@ -220,7 +213,6 @@ struct ShardRouter::RouterLoop : server::EventLoop::Handler {
   /// Runtime commits -> the yes-voters that have not acked them yet.
   std::unordered_map<uint64_t, std::vector<uint32_t>> unacked;
   uint64_t gtids_issued = 0;
-  uint64_t crash_gtid = 0;  // Armed crash_after_prepares_sent victim.
 
   /// The link `conn` belongs to, or null for a client session.
   ShardLink* LinkOf(const server::Connection* conn) const {
@@ -301,7 +293,10 @@ Status ShardRouter::Start() {
 
   // Event loops (and their backends) before the listen socket so a
   // backend-creation failure (kUring on an old kernel) leaks nothing.
-  const uint32_t nloops = ResolveNumLoops(options_.num_loops);
+  const uint32_t nloops =
+      options_.num_loops > 0
+          ? static_cast<uint32_t>(options_.num_loops)
+          : std::max(1u, std::min(4u, std::thread::hardware_concurrency() / 2));
   for (uint32_t i = 0; i < nloops; ++i) {
     auto loop = std::make_unique<RouterLoop>();
     loop->router = this;
@@ -325,6 +320,7 @@ Status ShardRouter::Start() {
   {
     MutexLock lock(&shards_mu_);
     links_up_ = 0;
+    xshard_drained_ = false;
   }
   // A flush (or a decision-log failure) wakes loop 0, which re-checks the
   // decisions it is waiting on.
@@ -342,31 +338,37 @@ void ShardRouter::Stop() {
     return;
   }
   stop_.store(true, std::memory_order_release);
+  if (running_) {
+    // Loop 0 sends every transaction in 2PC its decision and reports once
+    // acked (or past the ack deadline): no branch stays parked on a shard.
+    loops_[0]->net->Wakeup();
+    const auto deadline =
+        std::chrono::steady_clock::now() +
+        std::chrono::milliseconds(options_.ack_timeout_ms + 1000);
+    MutexLock lock(&shards_mu_);
+    for (auto now = std::chrono::steady_clock::now();
+         !xshard_drained_ && now < deadline;
+         now = std::chrono::steady_clock::now()) {
+      shards_cv_.WaitFor(&shards_mu_, deadline - now);
+    }
+  }
+  shards_cv_.NotifyAll();  // Unpark WaitShardsConnected; it observes stop_.
   // Returns once an in-flight callback finished: the flusher no longer
   // wakes a loop that is going away.
   decision_log_->SetDurableCallback(nullptr);
   for (auto& loop : loops_) loop->net->Stop();
-  {
-    MutexLock lock(&shards_mu_);
-  }
-  shards_cv_.NotifyAll();  // Unpark WaitShardsConnected; it observes stop_.
 
   // Loop threads are joined: this thread owns their state now. 2PC still
-  // in flight dies here; its prepared branches resolve through the next
-  // incarnation's in-doubt sweep.
+  // in flight past the drain deadline dies here; its prepared branches
+  // resolve through the next incarnation's in-doubt sweep.
   for (auto& loop : loops_) {
-    for (const auto& [id, conn] : loop->net->connections()) {
-      (void)id;
-      if (loop->LinkOf(conn.get()) == nullptr) {
-        stats_.sessions_closed.fetch_add(1, std::memory_order_relaxed);
-      }
+    for (const auto& entry : loop->net->connections()) {
+      if (loop->LinkOf(entry.second.get()) != nullptr) continue;
+      stats_.sessions_closed.fetch_add(1, std::memory_order_relaxed);
     }
     {
       MutexLock lock(&loop->mu);
       for (const int fd : loop->pending_fds) ::close(fd);
-      loop->pending_fds.clear();
-      loop->pending_results.clear();
-      loop->pending_jobs.clear();
     }
     io_syscalls_retired_.fetch_add(
         loop->net->io().counters().syscalls.load(std::memory_order_relaxed),
@@ -606,7 +608,6 @@ void ShardRouter::StartConnectLink(RouterLoop* loop, ShardLink* link) {
   }
   link->conn = loop->net->AddOutbound(fd);
   link->state = ShardLink::State::kHello;
-  link->resolve_pending = -1;
   // Queue the handshake + in-doubt query now; the backend parks the writev
   // until the (possibly still in-progress) connect makes the socket
   // writable, and a failed connect surfaces as the write error. The read
@@ -793,14 +794,17 @@ void ShardRouter::StartWaiting(RouterLoop* loop) {
 }
 
 void ShardRouter::StartCrossShard(RouterLoop* loop, CrossShardJob job) {
+  // Like a forward to a down link (or to a stopping router): fail now,
+  // before anything prepares.
+  bool startable = !stop_.load(std::memory_order_acquire);
   for (uint32_t shard = 0; shard < num_shards(); ++shard) {
-    if (!job.shard_keys[shard].empty() &&
-        loop->links[shard]->state != ShardLink::State::kUp) {
-      // Like a forward to a down link: fail now, before anything prepares.
-      stats_.cross_shard_aborts.fetch_add(1, std::memory_order_relaxed);
-      ReplyCrossShard(loop, job, StatusCode::kUnavailable, 0);
-      return;
-    }
+    startable &= job.shard_keys[shard].empty() ||
+                 loop->links[shard]->state == ShardLink::State::kUp;
+  }
+  if (!startable) {
+    stats_.cross_shard_aborts.fetch_add(1, std::memory_order_relaxed);
+    ReplyCrossShard(loop, job, StatusCode::kUnavailable, 0);
+    return;
   }
   const uint64_t gtid = gtid_base_ + loop->gtids_issued++;
   CrossShardTxn& txn = loop->txns[gtid];
@@ -835,9 +839,6 @@ void ShardRouter::StartCrossShard(RouterLoop* loop, CrossShardJob job) {
     txn.await[shard] = CrossShardTxn::Await::kVote;
   }
   txn.job = std::move(job);
-  if (loop->gtids_issued == options_.crash_after_prepares_sent) {
-    loop->crash_gtid = gtid;
-  }
 }
 
 void ShardRouter::OnVote(RouterLoop* loop, uint32_t shard_id, uint64_t gtid,
@@ -855,11 +856,9 @@ void ShardRouter::OnVote(RouterLoop* loop, uint32_t shard_id, uint64_t gtid,
     txn.fail_code = status;
   }
   if (txn.Awaiting(CrossShardTxn::Await::kVote)) return;
-  if (gtid == loop->crash_gtid) {
-    // Coordinator crash window: every vote is in, so every prepare reached
-    // its shard, and the decision is not logged. Participants are left in
-    // doubt; recovery must abort this gtid (presumed abort) without losing
-    // anything acked.
+  if (gtid - gtid_base_ + 1 == options_.crash_after_prepares_sent) {
+    // Coordinator crash window: every prepare reached its shard, no
+    // decision is logged; recovery must presume abort, losing nothing acked.
     std::fflush(nullptr);
     ::_exit(42);
   }
@@ -870,12 +869,14 @@ void ShardRouter::OnVote(RouterLoop* loop, uint32_t shard_id, uint64_t gtid,
   // The commit point: the decision is durable in the coordinator log
   // before any reply or decision frame leaves this process. Aborts are
   // never logged (presumed abort). The log's durable callback wakes this
-  // loop into CheckDecisionLog.
+  // loop into CheckDecisionLog; a log whose device already failed never
+  // calls back again, so check once now.
   uint8_t decision_body[8];
   server::StoreLE64(gtid, decision_body);
   txn.decision_lsn = decision_log_->Append(
       LogRecordType::kCoordDecision, decision_body, sizeof(decision_body));
   txn.phase = CrossShardTxn::Phase::kLogging;
+  CheckDecisionLog(loop);
 }
 
 void ShardRouter::CheckDecisionLog(RouterLoop* loop) {
@@ -905,13 +906,11 @@ void ShardRouter::CheckDecisionLog(RouterLoop* loop) {
 
 void ShardRouter::SendDecisions(RouterLoop* loop, CrossShardTxn* txn,
                                 bool commit) {
-  // Phase two: decisions to every shard that voted yes (the others already
-  // rolled back when they voted no — presumed abort needs no message, but
-  // a yes-voter is parked until told). Acks are awaited (bounded) so a
-  // committed transaction is visible on every participant before the
-  // client hears about it. A yes-voter whose link is down gets the
-  // decision from the link's redial sweep.
-  txn->commit = commit;
+  // Phase two: decisions to every yes-voter (parked until told; a no-voter
+  // already rolled back) and to any shard still owing its vote (Stop() cut
+  // voting short; a shard acks an abort that beats its vote). Acks are
+  // awaited (bounded) so a commit is visible on every participant before
+  // the client hears of it; a down link's redial sweep delivers its share.
   txn->phase = CrossShardTxn::Phase::kAcking;
   txn->deadline_ms =
       MonotonicMs() + static_cast<uint64_t>(options_.ack_timeout_ms);
@@ -921,7 +920,13 @@ void ShardRouter::SendDecisions(RouterLoop* loop, CrossShardTxn* txn,
   server::EncodeDecision(
       commit ? FrameType::kCommitDecision : FrameType::kAbortDecision,
       decision, &bytes);
-  for (const uint32_t shard : txn->yes_shards) {
+  std::vector<uint32_t> targets = txn->yes_shards;
+  for (uint32_t shard = 0; shard < num_shards(); ++shard) {
+    if (txn->await[shard] == CrossShardTxn::Await::kVote) {
+      targets.push_back(shard);
+    }
+  }
+  for (const uint32_t shard : targets) {
     ShardLink* link = loop->links[shard].get();
     if (link->conn == nullptr) continue;
     link->Send(loop->net.get(), bytes,
@@ -963,7 +968,7 @@ void ShardRouter::FinishCrossShard(RouterLoop* loop, uint64_t gtid) {
   const auto it = loop->txns.find(gtid);
   const CrossShardTxn txn = std::move(it->second);
   loop->txns.erase(it);
-  if (txn.commit) {
+  if (txn.fail_code == StatusCode::kOk) {
     stats_.cross_shard_commits.fetch_add(1, std::memory_order_relaxed);
     ReplyCrossShard(loop, txn.job, StatusCode::kOk, txn.decision_lsn);
   } else {
@@ -974,17 +979,29 @@ void ShardRouter::FinishCrossShard(RouterLoop* loop, uint64_t gtid) {
 }
 
 uint64_t ShardRouter::RunCrossShardTimers(RouterLoop* loop, uint64_t now_ms) {
+  // Stop(): every transaction still voting aborts now, over its links;
+  // logged ones finish as usual, and Stop() waits for the last.
+  const bool stopping = stop_.load(std::memory_order_acquire);
   std::vector<uint64_t> due;
   for (const auto& [gtid, txn] : loop->txns) {
-    if (txn.phase != CrossShardTxn::Phase::kLogging &&
-        txn.deadline_ms <= now_ms) {
+    if ((stopping && txn.phase == CrossShardTxn::Phase::kVoting) ||
+        (txn.phase != CrossShardTxn::Phase::kLogging &&
+         txn.deadline_ms <= now_ms)) {
       due.push_back(gtid);
     }
   }
   for (const uint64_t gtid : due) {
     auto it = loop->txns.find(gtid);
+    if (it == loop->txns.end()) continue;
+    if (stopping && it->second.phase == CrossShardTxn::Phase::kVoting) {
+      if (it->second.fail_code == StatusCode::kOk) {
+        it->second.fail_code = StatusCode::kUnavailable;
+      }
+      SendDecisions(loop, &it->second, /*commit=*/false);
+      continue;
+    }
     // An earlier expiry in this pass may have finished or re-armed it.
-    if (it == loop->txns.end() || it->second.deadline_ms > now_ms) continue;
+    if (it->second.deadline_ms > now_ms) continue;
     if (it->second.phase == CrossShardTxn::Phase::kAcking) {
       // The decision is durable; a straggler resolves through its link's
       // next in-doubt sweep.
@@ -1012,6 +1029,13 @@ uint64_t ShardRouter::RunCrossShardTimers(RouterLoop* loop, uint64_t now_ms) {
     if (txn.phase != CrossShardTxn::Phase::kLogging) {
       next = std::min(next, txn.deadline_ms);
     }
+  }
+  if (stopping && loop->txns.empty()) {
+    {
+      MutexLock lock(&shards_mu_);
+      xshard_drained_ = true;
+    }
+    shards_cv_.NotifyAll();
   }
   return next;
 }

@@ -2,53 +2,40 @@
 #define NEXT700_SHARD_SHARD_ROUTER_H_
 
 /// \file
-/// Shard router / two-phase-commit coordinator: presents the ordinary
-/// next700 wire protocol to clients and spreads the "kv" stored-procedure
-/// suite across N independent engine processes (shards), each owning the
-/// keys where key % N == shard_id.
+/// Shard router / two-phase-commit coordinator: speaks the ordinary next700
+/// wire protocol to clients and spreads the "kv" stored-procedure suite
+/// across N shard servers, shard i owning the keys where key % N == i.
 ///
 /// Single-shard requests take the fast path: the router parses just enough
-/// of the argument encoding to pick the owning shard, then forwards the
-/// client's frame bytes verbatim — no coordinator state, no extra round
-/// trip — and relays the shard's response back in per-connection request
-/// order. Requests it cannot route (unknown proc id, malformed arguments)
-/// go to shard 0 verbatim so error behavior matches a direct connection.
+/// of the arguments to pick the owning shard and forwards the client's
+/// frame bytes verbatim (unroutable requests go to shard 0, so errors match
+/// a direct connection), relaying replies in per-connection request order.
 ///
-/// A kKvRmw whose keys span shards becomes a distributed transaction: the
-/// router splits the key set per shard, drives Prepare against every
-/// participant, and on unanimous yes votes hardens a kCoordDecision record
-/// in its own durable log *before* releasing the client reply or any
-/// commit decision (the decision is the commit point). Aborts are not
-/// logged — the protocol is presumed-abort: a gtid absent from the
-/// decision log did not commit. On (re)connecting to a shard the router
-/// asks for the shard's in-doubt gtids and replays decisions from the log
-/// scan, which is how participants that crashed after preparing get
-/// resolved. A participant that misses its vote deadline is aborted
-/// (breaking the cross-shard deadlock of parked prepared transactions).
+/// A kKvRmw whose keys span shards is a presumed-abort 2PC: Prepare to
+/// every participant; on unanimous yes votes a kCoordDecision record is
+/// durable in the router's log before the client reply or any commit
+/// decision leaves (the commit point). Aborts are never logged. On
+/// (re)connecting, a link asks the shard for its in-doubt gtids and answers
+/// each from the log scan; a participant that misses its vote deadline is
+/// aborted.
 ///
-/// Threading: the session tier is N server::EventLoop threads — the
-/// connection loop the server uses (event_loop.h). Loop 0 owns the
-/// listener and round-robins accepted sockets across loops; each loop owns
-/// its share of client sessions plus one *link per shard*, all in its one
-/// connection table. The fast path never leaves its loop: forwards staged
-/// across one read burst go out with one gather write per shard link,
-/// replies pair with a per-link FIFO expectation deque, and the
-/// per-session ticket reorder buffer releases client responses in request
-/// order. Shard links reconnect with jittered backoff driven by the loop's
-/// reap timeout (never a blind sleep), and a link resolves the shard's
-/// in-doubt backlog before accepting forwards.
+/// Threading: N server::EventLoop threads (event_loop.h). Loop 0 owns the
+/// listener and round-robins accepted sockets; each loop owns its sessions
+/// plus one link per shard. Forwards staged in one read burst share one
+/// gather write per link, replies pair with the link's FIFO expectation
+/// deque, and a session's ticket reorder buffer keeps replies in order.
+/// Links redial with jittered backoff off the loop's reap timeout.
 ///
 /// Cross-shard 2PC is a per-gtid state machine on loop 0 over loop 0's
-/// shard links, so prepares, decisions and forwards share one connection
-/// per shard, and votes and acks pair with the same expectation deque.
-/// Other loops hand jobs to loop 0, and get replies back, through inbox +
-/// Wakeup. Vote and ack deadlines run from loop 0's timers; a missed vote
-/// closes loop 0's link to that shard, whose redial sweep presume-aborts
-/// the orphaned branch. The decision log's durable callback wakes loop 0,
-/// which never blocks on it. In-doubt classification takes no lock: the
-/// log scan is immutable after Start(), only loop 0 decides this
-/// incarnation's gtids (other loops' sweeps skip them), and loop 0 forgets
-/// a commit once every yes-voter has acked it.
+/// links, so votes and acks pair with the same deque; other loops hand jobs
+/// over, and get replies back, through inbox + Wakeup. Deadlines run from
+/// loop 0's timers: a missed vote closes the link, whose redial sweep
+/// presume-aborts the orphan. The decision log's durable callback wakes
+/// loop 0, which never blocks on it. In-doubt classification takes no
+/// lock: the log scan is immutable after Start(), only loop 0 decides this
+/// incarnation's gtids, and it forgets a commit once every yes-voter acked
+/// it (shards ack a commit only once its outcome record is durable). Stop()
+/// first lets loop 0 send every transaction in 2PC its decision.
 
 #include <atomic>
 #include <cstdint>
@@ -84,23 +71,19 @@ struct ShardRouterOptions {
   /// How long the coordinator waits for votes before presuming abort.
   int64_t vote_timeout_ms = 5000;
   /// How long the coordinator waits for decision acks before replying
-  /// anyway (the decision is already durable; a slow participant resolves
-  /// through in-doubt recovery).
+  /// anyway (a slow participant resolves through in-doubt recovery). Stop()
+  /// waits up to this plus 1 s for 2PC in flight.
   int64_t ack_timeout_ms = 5000;
-  /// Crash hook: _exit(42) once every vote of the Nth cross-shard
-  /// transaction is in (its prepares reached every shard) — before the
-  /// decision is logged. The crashtest harness uses this to create
-  /// coordinator in-doubt windows.
+  /// Crash hook (crashtest): _exit(42) once every vote of the Nth
+  /// cross-shard transaction is in, before its decision is logged.
   uint64_t crash_after_prepares_sent = 0;
-  /// Async backend for the event-loop session tier (kAuto probes uring,
-  /// falls back to epoll).
+  /// Event-loop backend (kAuto probes uring, falls back to epoll).
   io::IoBackendKind io_backend = io::IoBackendKind::kAuto;
   /// Event-loop thread count; 0 = auto (min(4, cores/2), at least 1).
   int num_loops = 0;
   /// Cap on cross-shard transactions in 2PC at once (the name predates the
-  /// event-loop coordinator); the excess waits in FIFO order. Each prepared
-  /// branch parks a shard worker until its decision, so keep shard workers
-  /// >= this.
+  /// event-loop coordinator); the excess waits in FIFO order. A prepared
+  /// branch parks a shard worker until decided: keep shard workers >= this.
   int coordinator_threads = 2;
 };
 
@@ -113,11 +96,10 @@ struct ShardRouterStats : server::LoopStats {
   std::atomic<uint64_t> vote_timeouts{0};
   std::atomic<uint64_t> resolved_in_doubt{0};
   /// Gauge: runtime commits some yes-voter has not acked yet. Loop 0
-  /// forgets a commit at its last ack, so this returns to 0 when idle.
+  /// forgets a commit at its last ack (a shard acks a commit once its
+  /// outcome record is durable), so this returns to 0 when idle.
   std::atomic<uint64_t> commits_unacked{0};
-  /// Session lifecycle: live sessions == accepted - closed. The churn test
-  /// pins this to zero after disconnect storms (the old thread-per-session
-  /// tier leaked a session object + thread handle per dead client).
+  /// Session lifecycle: live sessions == accepted - closed.
   std::atomic<uint64_t> sessions_accepted{0};
   std::atomic<uint64_t> sessions_closed{0};
 };
@@ -129,9 +111,8 @@ class ShardRouter {
   ShardRouter(const ShardRouter&) = delete;
   ShardRouter& operator=(const ShardRouter&) = delete;
 
-  /// Scans the decision log for prior commits, opens it for appending,
-  /// binds the listen socket, and starts the event loops. Shard links are established asynchronously; use
-  /// WaitShardsConnected() for a deterministic ready point.
+  /// Scans the decision log, opens it for appending, binds the listener and
+  /// starts the loops. Links come up asynchronously: WaitShardsConnected().
   Status Start();
   void Stop();
 
@@ -166,15 +147,13 @@ class ShardRouter {
   struct CrossShardTxn;
 
   // --- Client sessions ----------------------------------------------------
-  /// Decodes and routes buffered frames; returns false when the session
-  /// was closed.
+  /// Routes buffered frames; returns false when the session was closed.
   bool DrainSessionFrames(RouterLoop* loop, server::Connection* conn);
   void ReplyError(RouterLoop* loop, server::Connection* conn, uint64_t ticket,
                   uint64_t request_id, StatusCode code);
 
-  /// Routes one decoded client request. Single-shard forwards are staged
-  /// on the owning loop's shard link (one gather write per link per reap
-  /// batch); cross-shard kKvRmw is handed to loop 0's 2PC.
+  /// Single-shard requests are staged on this loop's link to the owning
+  /// shard; a cross-shard kKvRmw is handed to loop 0's 2PC.
   void RouteRequest(RouterLoop* loop, server::Connection* conn,
                     uint64_t ticket, const server::Frame& frame);
   void StageForward(RouterLoop* loop, server::Connection* conn,
@@ -183,11 +162,9 @@ class ShardRouter {
 
   // --- Shard links (per loop, event-driven) -------------------------------
   void StartConnectLink(RouterLoop* loop, ShardLink* link);
-  /// Returns false when the link was torn down mid-drain (closing a link's
-  /// connection tears the link down through the OnClosed hook).
+  /// Returns false when the link was torn down mid-drain.
   bool DrainLinkFrames(RouterLoop* loop, ShardLink* link);
-  /// Returns false when the frame breaks the link's protocol (the caller
-  /// closes the link).
+  /// Returns false when the frame breaks the link's protocol.
   bool HandleLinkFrame(RouterLoop* loop, ShardLink* link,
                        const server::Frame& frame);
   /// Sets *commit for an in-doubt gtid; returns false when `loop` must
@@ -195,9 +172,8 @@ class ShardRouter {
   bool ClassifyInDoubt(const RouterLoop* loop, uint64_t gtid,
                        bool* commit) const;
   void LinkUp(ShardLink* link);
-  /// The link's connection is gone (or never came up): fails outstanding
-  /// forwards with kUnavailable, fails its outstanding votes and acks, and
-  /// schedules a jittered reconnect.
+  /// The link's connection is gone (or never came up): fails what it owes
+  /// (forwards answer kUnavailable) and schedules a jittered redial.
   void TeardownLink(RouterLoop* loop, ShardLink* link);
 
   // --- Cross-shard 2PC (loop 0 only) -------------------------------------
@@ -211,12 +187,12 @@ class ShardRouter {
   /// `acked` is false when the link died with the ack outstanding.
   void OnDecisionAck(RouterLoop* loop, uint32_t shard_id, uint64_t gtid,
                      bool acked);
-  /// Durable-callback wakeup: commits whose decision is durable, aborts
-  /// when the decision log failed.
+  /// Commits whose decision is durable; aborts if the decision log failed.
   void CheckDecisionLog(RouterLoop* loop);
   void SendDecisions(RouterLoop* loop, CrossShardTxn* txn, bool commit);
   void FinishCrossShard(RouterLoop* loop, uint64_t gtid);
-  /// Vote and ack deadlines; returns the next one (UINT64_MAX for none).
+  /// Vote and ack deadlines, and Stop()'s abort of every transaction still
+  /// voting; returns the next deadline (UINT64_MAX for none).
   uint64_t RunCrossShardTimers(RouterLoop* loop, uint64_t now_ms);
   /// Answers a cross-shard job on its session's loop.
   void ReplyCrossShard(RouterLoop* loop, const CrossShardJob& job,
@@ -233,8 +209,7 @@ class ShardRouter {
   std::vector<std::pair<std::string, uint16_t>> shard_addrs_;
 
   std::unique_ptr<LogManager> decision_log_;
-  /// Commit decisions of earlier incarnations (the log scan); immutable
-  /// after Start(), so every loop reads it without a lock.
+  /// Earlier incarnations' commits (the log scan); immutable after Start().
   std::unordered_set<uint64_t> scanned_commits_;
   /// This incarnation's gtids are gtid_base_ + n (wall-clock nanoseconds
   /// at Start(), so earlier incarnations' gtids lie below it).
@@ -244,6 +219,8 @@ class ShardRouter {
   mutable Mutex shards_mu_;
   CondVar shards_cv_;
   uint32_t links_up_ GUARDED_BY(shards_mu_) = 0;
+  /// Set by loop 0 once stop_ is up and no transaction is in 2PC.
+  bool xshard_drained_ GUARDED_BY(shards_mu_) = false;
 
   std::vector<std::unique_ptr<RouterLoop>> loops_;
   std::atomic<uint32_t> accept_rr_{0};

@@ -492,6 +492,54 @@ TEST_P(ServerTest, RequestsNeverRunInlineBesideAParkedPrepare) {
   }
 }
 
+// The coordinator forgets a commit once every participant acked it, so a
+// commit DecisionAck must follow its outcome record to disk even on a shard
+// running async commit (whose client replies never wait for the log). The
+// slow log device keeps the flush in flight past the ack's hold check.
+TEST_P(ServerTest, CommitDecisionAckWaitsForDurableOutcomeUnderAsyncCommit) {
+  Service service = StartService(
+      CcScheme::kOcc, LoggingKind::kValue, {}, 2, [](EngineOptions& eng) {
+        eng.sync_commit = false;
+        eng.log_device_latency_us = 2000;
+      });
+  LogManager* log = service.engine->log_manager();
+  ASSERT_NE(log, nullptr);
+  constexpr uint64_t kGtid = 7002;
+  Client coordinator;
+  ASSERT_TRUE(coordinator
+                  .Connect("127.0.0.1", service.server->port(),
+                           PeerRole::kCoordinator)
+                  .ok());
+  Prepare prepare;
+  prepare.gtid = kGtid;
+  prepare.proc_id = kKvRmw;
+  WireWriter args(&prepare.args);
+  args.PutU16(1);
+  args.PutU64(13);
+  std::vector<uint8_t> wire;
+  EncodePrepare(prepare, &wire);
+  ASSERT_TRUE(coordinator.SendRaw(wire.data(), wire.size()).ok());
+  FrameType type;
+  std::vector<uint8_t> body;
+  ASSERT_TRUE(coordinator.RecvFrame(&type, &body).ok());
+  ASSERT_EQ(type, FrameType::kVote);
+  Vote vote;
+  ASSERT_TRUE(DecodeVote(body.data(), body.size(), &vote).ok());
+  ASSERT_EQ(vote.status, StatusCode::kOk);
+
+  wire.clear();
+  EncodeDecision(FrameType::kCommitDecision, Decision{kGtid}, &wire);
+  ASSERT_TRUE(coordinator.SendRaw(wire.data(), wire.size()).ok());
+  ASSERT_TRUE(coordinator.RecvFrame(&type, &body).ok());
+  ASSERT_EQ(type, FrameType::kDecisionAck);
+  DecisionAck ack;
+  ASSERT_TRUE(DecodeDecisionAck(body.data(), body.size(), &ack).ok());
+  EXPECT_EQ(ack.status, StatusCode::kOk);
+  // Nothing else appends, so the outcome record is the log's tail.
+  EXPECT_EQ(log->durable_lsn(), log->appended_lsn());
+  EXPECT_GT(service.server->stats().replies_held_durable.load(), 0u);
+}
+
 TEST_P(ServerTest, PipelinedBurstFansOutToWorkers) {
   ServerOptions srv;
   srv.num_workers = 2;

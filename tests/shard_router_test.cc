@@ -4,18 +4,22 @@
 /// skipped where the kernel/sandbox denies rings). Covers the single-shard
 /// fast path (verbatim forwarding, counters), cross-shard 2PC atomicity,
 /// the kUnavailable error path when a shard is down mid-batch, router
-/// restart replaying its durable decision log, and the event-loop
-/// lifecycle: session churn must not grow live-session state (the old
-/// thread-per-session tier leaked a session + thread handle per dead
-/// client) and Stop() must return promptly even with a down shard (the old
-/// reconnect path slept a blind 200 ms ignoring stop_).
+/// restart replaying its durable decision log, 2PC on a failed decision
+/// log and across a graceful Stop(), and the event-loop lifecycle: session
+/// churn must not grow live-session state (the old thread-per-session tier
+/// leaked a session + thread handle per dead client) and Stop() must
+/// return promptly even with a down shard (the old reconnect path slept a
+/// blind 200 ms ignoring stop_).
 
 #include "shard/shard_router.h"
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <functional>
 #include <memory>
 #include <string>
@@ -412,6 +416,86 @@ TEST_P(ShardRouterTest, CappedCrossShardPipelineCommitsInOrder) {
   EXPECT_EQ(ReadCounter(&client, 31), 31 + kTxns);
   // Every reply waited for its acks, so nothing is left unacked.
   EXPECT_EQ(topo.router->stats().commits_unacked.load(), 0u);
+}
+
+/// Points the router's open decision-log segment at a read-only /dev/null,
+/// so every later write to it fails (EBADF) like a device that went away.
+void FailDecisionLogDevice(const std::string& log_dir) {
+  const std::string prefix =
+      std::filesystem::canonical(log_dir).string() + "/";
+  int swapped = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    std::error_code ec;
+    const auto target = std::filesystem::read_symlink(entry.path(), ec);
+    if (ec || target.string().rfind(prefix, 0) != 0) continue;
+    const int null_fd = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+    ASSERT_GE(null_fd, 0);
+    ASSERT_GE(::dup2(null_fd, std::stoi(entry.path().filename().string())),
+              0);
+    ::close(null_fd);
+    ++swapped;
+  }
+  EXPECT_EQ(swapped, 1);
+}
+
+// After a decision-log device failure the flusher reports once and stops,
+// so no durable callback comes for a commit appended later: every
+// cross-shard rmw must still abort with the log's error, not wait forever.
+TEST_P(ShardRouterTest, DecisionLogFailureAbortsEveryCrossShardRmw) {
+  const std::string base = TempBase();
+  Topology topo;
+  StartTopology(&topo, base, GetParam());
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  FailDecisionLogDevice(base + "_rt");
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+
+  server::Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", topo.router->port()).ok());
+  constexpr uint64_t kTxns = 3;
+  for (uint64_t i = 0; i < kTxns; ++i) {
+    server::Response response;
+    ASSERT_TRUE(client.Call(RmwRequest(i, {40, 41}), &response, 5000).ok())
+        << "rmw " << i;
+    EXPECT_EQ(response.status, StatusCode::kIOError) << "rmw " << i;
+  }
+  EXPECT_EQ(topo.router->stats().cross_shard_aborts.load(), kTxns);
+  EXPECT_EQ(topo.router->stats().cross_shard_commits.load(), 0u);
+  EXPECT_EQ(ReadCounter(&client, 40), 40u);
+  EXPECT_EQ(ReadCounter(&client, 41), 41u);
+}
+
+// A graceful Stop() with a transaction still voting sends its participants
+// the abort before the loops stop, so no branch stays parked on a live
+// shard holding its keys. Shard 1's slow log device holds its vote back
+// across the Stop(); shard 0 has voted yes and parked by then.
+TEST_P(ShardRouterTest, StopMidTwoPhaseCommitReleasesBranches) {
+  Topology topo;
+  StartTopology(&topo, TempBase(), GetParam(), nullptr,
+                [](uint32_t shard_id, EngineOptions* eng) {
+                  if (shard_id == 1) eng->log_device_latency_us = 500 * 1000;
+                });
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+
+  server::Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", topo.router->port()).ok());
+  ASSERT_TRUE(client.Send(RmwRequest(1, {50, 51})).ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(150));
+  topo.router->Stop();
+  EXPECT_EQ(topo.router->stats().cross_shard_aborts.load(), 1u);
+  EXPECT_EQ(topo.router->stats().cross_shard_commits.load(), 0u);
+
+  // Each shard's key is writable straight away, and kept its seed.
+  for (uint32_t s = 0; s < kNumShards; ++s) {
+    const uint64_t key = 50 + s;
+    server::Client direct;
+    ASSERT_TRUE(direct.Connect("127.0.0.1", topo.servers[s]->port()).ok());
+    server::Response response;
+    ASSERT_TRUE(direct.Call(RmwRequest(1, {key}), &response, 5000).ok())
+        << "shard " << s;
+    EXPECT_EQ(response.status, StatusCode::kOk) << "shard " << s;
+    EXPECT_EQ(ReadCounter(&direct, key), key + 1);
+  }
 }
 
 // Lifecycle regression: the old AcceptLoop pushed a ClientSession and a
