@@ -62,8 +62,8 @@ class Client {
 
   /// Relinquishes the connected socket (post-handshake) to the caller;
   /// the Client reverts to disconnected and will not close it. The
-  /// multiplexed load generator handshakes through a Client, then drives
-  /// the raw fd nonblocking.
+  /// pipelined client driver (server/loadgen.h) handshakes every
+  /// connection through a Client, then drives the raw fd nonblocking.
   int ReleaseFd() {
     const int fd = fd_;
     fd_ = -1;

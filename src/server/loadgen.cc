@@ -10,7 +10,7 @@
 #include <cstring>
 #include <deque>
 #include <thread>
-#include <vector>
+#include <utility>
 
 #include "common/rng.h"
 #include "common/stats.h"
@@ -20,17 +20,198 @@
 namespace next700 {
 namespace server {
 
-namespace {
-
-struct PendingRequest {
-  uint64_t request_id;
-  uint64_t sent_ns;
+struct PipelineDriver::Conn {
+  struct Op {
+    Request request;
+    uint64_t invoke_ns;
+  };
+  int fd = -1;
+  FrameDecoder decoder;
+  std::deque<Op> inflight;   // Issue order; replies arrive in this order.
+  std::vector<uint8_t> out;  // Encoded requests send() has not taken yet.
+  size_t out_off = 0;
+  uint64_t next_request_id = 1;
+  uint64_t progress_ns = 0;  // Last reply, or issue onto an empty pipeline.
 };
 
-Request MakeRequest(const LoadGenOptions& options, uint64_t request_id,
-                    Rng* rng, ZipfGenerator* zipf) {
+PipelineDriver::PipelineDriver(int depth, int64_t deadline_ms, Source source,
+                               Completion complete)
+    : depth_(depth > 0 ? static_cast<size_t>(depth) : 1),
+      deadline_ns_(deadline_ms > 0
+                       ? static_cast<uint64_t>(deadline_ms) * 1000000
+                       : 0),
+      source_(std::move(source)),
+      complete_(std::move(complete)) {}
+
+PipelineDriver::~PipelineDriver() { Abandon(); }
+
+bool PipelineDriver::Connect(const std::string& host, uint16_t port) {
+  Client client;
+  if (client.Connect(host, port).ok()) {
+    auto conn = std::make_unique<Conn>();
+    conn->fd = client.ReleaseFd();
+    const int fl = ::fcntl(conn->fd, F_GETFL, 0);
+    if (fl >= 0 && ::fcntl(conn->fd, F_SETFL, fl | O_NONBLOCK) == 0) {
+      conns_.push_back(std::move(conn));
+      return true;
+    }
+    ::close(conn->fd);
+  }
+  ++failures_;
+  return false;
+}
+
+void PipelineDriver::Run(const std::function<bool()>& stop) {
+  for (const auto& conn : conns_) {
+    if (conn->fd >= 0) Decode(conn.get(), &stop);
+  }
+  while (!stop() && Poll(&stop)) {
+  }
+}
+
+void PipelineDriver::Drain() {
+  for (const auto& conn : conns_) {
+    if (conn->fd >= 0) Decode(conn.get(), nullptr);
+  }
+  const auto in_flight = [this] {
+    return std::any_of(conns_.begin(), conns_.end(), [](const auto& conn) {
+      return !conn->inflight.empty();
+    });
+  };
+  while (in_flight() && Poll(nullptr)) {
+  }
+}
+
+void PipelineDriver::Abandon() {
+  for (const auto& conn : conns_) Close(conn.get());
+  conns_.clear();
+}
+
+/// One poll() round over the live connections: read and pair replies,
+/// flush pending sends, fail stalled connections. False when none is live.
+bool PipelineDriver::Poll(const std::function<bool()>* stop) {
+  std::erase_if(conns_, [](const auto& conn) { return conn->fd < 0; });
+  if (conns_.empty()) return false;
+  std::vector<pollfd> pfds;
+  pfds.reserve(conns_.size());
+  for (const auto& conn : conns_) {
+    const bool unsent = conn->out_off < conn->out.size();
+    pfds.push_back(pollfd{conn->fd,
+                          static_cast<short>(POLLIN | (unsent ? POLLOUT : 0)),
+                          0});
+  }
+  // A short timeout bounds how late a stall or the caller's stop
+  // predicate is noticed.
+  const int ready = ::poll(pfds.data(), pfds.size(), /*timeout_ms=*/50);
+  const uint64_t now = NowNanos();
+  for (size_t i = 0; i < conns_.size(); ++i) {
+    Conn* conn = conns_[i].get();
+    const short revents = ready > 0 ? pfds[i].revents : 0;
+    if (revents & (POLLIN | POLLERR | POLLHUP)) Read(conn, stop);
+    if (conn->fd >= 0 && (revents & POLLOUT)) Flush(conn);
+    // Progress made after `now` (this round's replies) is not a stall.
+    if (conn->fd >= 0 && deadline_ns_ > 0 && !conn->inflight.empty() &&
+        conn->progress_ns + deadline_ns_ < now) {
+      Fail(conn);
+    }
+  }
+  return true;
+}
+
+void PipelineDriver::Read(Conn* conn, const std::function<bool()>* stop) {
+  // One read per readiness event: poll() is level-triggered, so anything
+  // left in the socket wakes the next round.
+  uint8_t buf[64 * 1024];
+  const ssize_t n = ::read(conn->fd, buf, sizeof(buf));
+  if (n < 0 && (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK)) {
+    return;
+  }
+  if (n <= 0) {
+    Fail(conn);  // EOF or a hard error.
+    return;
+  }
+  conn->decoder.Feed(buf, static_cast<size_t>(n));
+  Decode(conn, stop);
+}
+
+void PipelineDriver::Decode(Conn* conn, const std::function<bool()>* stop) {
+  // Like a blocking client: top up, then take one reply. A reply decoded
+  // after `stop` turned true stays in flight, as if never read.
+  for (;;) {
+    if (stop != nullptr) {
+      while (conn->inflight.size() < depth_ && !(*stop)()) Issue(conn);
+      if ((*stop)()) break;
+    }
+    Frame frame;
+    bool have = false;
+    Response response;
+    const bool framed = conn->decoder.Next(&frame, &have).ok();
+    if (framed && !have) break;
+    // The server answers each connection in request order; anything else
+    // is a protocol violation, not a latency artifact.
+    if (!framed || frame.type != FrameType::kResponse ||
+        !DecodeResponse(frame.body, frame.body_len, &response).ok() ||
+        conn->inflight.empty() ||
+        response.request_id != conn->inflight.front().request.request_id) {
+      Fail(conn);
+      return;
+    }
+    const Conn::Op op = std::move(conn->inflight.front());
+    conn->inflight.pop_front();
+    conn->progress_ns = NowNanos();
+    complete_(op.request, &response, op.invoke_ns, conn->progress_ns);
+  }
+  Flush(conn);
+}
+
+void PipelineDriver::Issue(Conn* conn) {
+  Request request = source_();
+  request.request_id = conn->next_request_id++;
+  EncodeRequest(request, &conn->out);
+  const uint64_t now = NowNanos();
+  if (conn->inflight.empty()) conn->progress_ns = now;
+  conn->inflight.push_back(Conn::Op{std::move(request), now});
+}
+
+void PipelineDriver::Flush(Conn* conn) {
+  while (conn->out_off < conn->out.size()) {
+    const ssize_t n =
+        ::send(conn->fd, conn->out.data() + conn->out_off,
+               conn->out.size() - conn->out_off, MSG_NOSIGNAL);
+    if (n > 0) {
+      conn->out_off += static_cast<size_t>(n);
+    } else if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      return;  // The server applies backpressure; POLLOUT resumes.
+    } else if (n == 0 || errno != EINTR) {
+      Fail(conn);
+      return;
+    }
+  }
+  conn->out.clear();
+  conn->out_off = 0;
+}
+
+void PipelineDriver::Fail(Conn* conn) {
+  ++failures_;
+  Close(conn);
+}
+
+void PipelineDriver::Close(Conn* conn) {
+  if (conn->fd < 0) return;
+  ::close(conn->fd);
+  conn->fd = -1;
+  const uint64_t now = NowNanos();
+  for (const Conn::Op& op : conn->inflight) {
+    complete_(op.request, nullptr, op.invoke_ns, now);
+  }
+  conn->inflight.clear();
+}
+
+namespace {
+
+Request MakeRequest(const LoadGenOptions& options, Rng* rng,
+                    ZipfGenerator* zipf) {
   Request request;
-  request.request_id = request_id;
   WireWriter args(&request.args);
   const double op = rng->NextDouble();
   if (op < options.get_fraction) {
@@ -118,302 +299,41 @@ void CountResponse(const Response& response, LoadGenStats* stats) {
   }
 }
 
-void ClientThread(const LoadGenOptions& options, int thread_index,
-                  LoadGenStats* local) {
+/// One driver thread: `connections` connections fed from one key stream.
+void LoadThread(const LoadGenOptions& options, int thread_index,
+                int connections, LoadGenStats* local) {
   Rng rng(options.seed + static_cast<uint64_t>(thread_index) * 7919);
   ZipfGenerator zipf(options.num_records, options.theta);
-  Client client;
-  if (!client.Connect(options.host, options.port).ok()) {
-    ++local->transport_errors;
-    return;
-  }
-  const uint64_t start_ns = NowNanos();
-  const uint64_t measure_start_ns =
-      start_ns + static_cast<uint64_t>(options.warmup_seconds * 1e9);
-  const uint64_t end_ns =
-      measure_start_ns + static_cast<uint64_t>(options.seconds * 1e9);
-  bool measuring = options.warmup_seconds <= 0;
-
-  std::deque<PendingRequest> outstanding;
-  uint64_t next_request_id = 1;
-  bool broken = false;
-  const size_t depth = static_cast<size_t>(
-      options.pipeline_depth > 0 ? options.pipeline_depth : 1);
-
-  auto receive_one = [&]() -> bool {
-    Response response;
-    const Status s = client.Recv(&response, options.deadline_ms);
-    if (!s.ok()) {
-      ++local->transport_errors;
-      return false;
-    }
-    // The server promises per-connection responses in request order; a
-    // mismatch is a protocol violation, not a latency artifact.
-    if (outstanding.empty() ||
-        response.request_id != outstanding.front().request_id) {
-      ++local->transport_errors;
-      return false;
-    }
-    if (measuring) {
-      // Requests sent before the warmup boundary carry warmup queueing in
-      // their latency; count their outcome but keep them out of the
-      // percentiles.
-      if (outstanding.front().sent_ns >= measure_start_ns) {
-        local->latency_ns.Record(NowNanos() - outstanding.front().sent_ns);
-      }
-      CountResponse(response, local);
-    }
-    outstanding.pop_front();
-    return true;
-  };
-
-  while (NowNanos() < end_ns && !broken) {
-    if (!measuring && NowNanos() >= measure_start_ns) {
-      // Warmup boundary: drop everything counted so far.
-      *local = LoadGenStats{};
-      measuring = true;
-    }
-    while (outstanding.size() < depth) {
-      const Request request =
-          MakeRequest(options, next_request_id++, &rng, &zipf);
-      const uint64_t sent_ns = NowNanos();
-      if (!client.Send(request).ok()) {
-        ++local->transport_errors;
-        broken = true;
-        break;
-      }
-      if (measuring) ++local->requests_sent;
-      outstanding.push_back(PendingRequest{request.request_id, sent_ns});
-    }
-    if (broken) break;
-    if (!receive_one()) broken = true;
-  }
-  while (!broken && !outstanding.empty()) {
-    if (!receive_one()) broken = true;
-  }
-  if (broken && !outstanding.empty()) {
-    // The connection died with requests in flight: those responses are
-    // lost, not pending — without this the sent/answered books never
-    // balance after a mid-run failure.
-    local->transport_errors += outstanding.size();
-    outstanding.clear();
-  }
-  // A thread that broke early measured less than the configured window;
-  // claiming the full window would understate its throughput share.
-  const uint64_t now_ns = NowNanos();
-  const uint64_t measured_end = std::min(now_ns, end_ns);
-  local->elapsed_seconds =
-      measured_end > measure_start_ns
-          ? static_cast<double>(measured_end - measure_start_ns) / 1e9
-          : 0.0;
-}
-
-/// One nonblocking connection of the multiplexed generator: its own
-/// request-id space, pipeline, decoder, and unsent-bytes buffer.
-struct MuxConn {
-  int fd = -1;
-  FrameDecoder decoder;
-  std::deque<PendingRequest> outstanding;
-  std::vector<uint8_t> out;  // Encoded requests not yet accepted by send().
-  size_t out_off = 0;
-  uint64_t next_request_id = 1;
-  bool broken = false;
-};
-
-/// Drives `conn_count` nonblocking connections from one thread. The
-/// blocking path above measures latency from Send() to the response; here
-/// it runs from encode time, which additionally includes any time a
-/// request waits in the local send buffer — the honest number when the
-/// server applies backpressure by not reading.
-void MuxClientThread(const LoadGenOptions& options, int thread_index,
-                     int conn_count, LoadGenStats* local) {
-  Rng rng(options.seed + static_cast<uint64_t>(thread_index) * 7919);
-  ZipfGenerator zipf(options.num_records, options.theta);
-  const size_t depth = static_cast<size_t>(
-      options.pipeline_depth > 0 ? options.pipeline_depth : 1);
-
-  std::vector<MuxConn> conns(static_cast<size_t>(conn_count));
-  for (MuxConn& mc : conns) {
-    Client client;
-    if (!client.Connect(options.host, options.port).ok()) {
-      // A connection that never came up contributes one error and zero
-      // samples — it must not leak an fd or distort anything the healthy
-      // connections measure.
-      ++local->transport_errors;
-      mc.broken = true;
-      continue;
-    }
-    mc.fd = client.ReleaseFd();
-    const int fl = ::fcntl(mc.fd, F_GETFL, 0);
-    if (fl < 0 || ::fcntl(mc.fd, F_SETFL, fl | O_NONBLOCK) < 0) {
-      ++local->transport_errors;
-      ::close(mc.fd);
-      mc.fd = -1;
-      mc.broken = true;
-    }
-  }
-
-  const uint64_t start_ns = NowNanos();
-  const uint64_t measure_start_ns =
-      start_ns + static_cast<uint64_t>(options.warmup_seconds * 1e9);
-  const uint64_t end_ns =
-      measure_start_ns + static_cast<uint64_t>(options.seconds * 1e9);
-
-  auto fail = [&](MuxConn* mc) {
-    // One event for the failure itself, plus every response still in
-    // flight on this connection — they are lost, not pending.
-    local->transport_errors += 1 + mc->outstanding.size();
-    mc->broken = true;
-    ::close(mc->fd);
-    mc->fd = -1;
-    mc->outstanding.clear();
-  };
-
-  auto try_send = [&](MuxConn* mc) {
-    while (mc->out_off < mc->out.size()) {
-      const ssize_t n =
-          ::send(mc->fd, mc->out.data() + mc->out_off,
-                 mc->out.size() - mc->out_off, MSG_NOSIGNAL);
-      if (n > 0) {
-        mc->out_off += static_cast<size_t>(n);
-        continue;
-      }
-      if (n < 0 && errno == EINTR) continue;
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
-      fail(mc);
-      return;
-    }
-    mc->out.clear();
-    mc->out_off = 0;
-  };
-
-  bool measuring = options.warmup_seconds <= 0;
-
-  auto top_up = [&](MuxConn* mc) {
-    while (mc->outstanding.size() < depth) {
-      const Request request =
-          MakeRequest(options, mc->next_request_id++, &rng, &zipf);
-      EncodeRequest(request, &mc->out);
-      if (measuring) ++local->requests_sent;
-      mc->outstanding.push_back(
-          PendingRequest{request.request_id, NowNanos()});
-    }
-    try_send(mc);
-  };
-
-  /// Reads and decodes everything available; false only on a broken
-  /// stream (protocol violation or connection loss).
-  auto drain_responses = [&](MuxConn* mc) -> bool {
-    for (;;) {
-      Frame frame;
-      bool have = false;
-      if (!mc->decoder.Next(&frame, &have).ok()) return false;
-      if (!have) return true;
-      if (frame.type != FrameType::kResponse) return false;
-      Response response;
-      if (!DecodeResponse(frame.body, frame.body_len, &response).ok()) {
-        return false;
-      }
-      // Per-connection responses arrive in request order; a mismatch is a
-      // protocol violation, not a latency artifact.
-      if (mc->outstanding.empty() ||
-          response.request_id != mc->outstanding.front().request_id) {
-        return false;
-      }
-      if (measuring) {
-        // Requests encoded before the warmup boundary carry warmup
-        // queueing; count their outcome, skip their latency sample.
-        if (mc->outstanding.front().sent_ns >= measure_start_ns) {
-          local->latency_ns.Record(NowNanos() -
-                                   mc->outstanding.front().sent_ns);
+  uint64_t measure_start_ns = 0;
+  PipelineDriver driver(
+      options.pipeline_depth, options.deadline_ms,
+      [&] {
+        ++local->requests_sent;
+        return MakeRequest(options, &rng, &zipf);
+      },
+      [&](const Request&, const Response* response, uint64_t invoke_ns,
+          uint64_t complete_ns) {
+        if (invoke_ns < measure_start_ns) {
+          --local->requests_sent;  // Warmup ops leave the books.
+        } else if (response == nullptr) {
+          ++local->unknown;
+        } else {
+          local->latency_ns.Record(complete_ns - invoke_ns);
+          CountResponse(*response, local);
         }
-        CountResponse(response, local);
-      }
-      mc->outstanding.pop_front();
-    }
-  };
-
-  auto on_readable = [&](MuxConn* mc) {
-    uint8_t buf[64 * 1024];
-    for (;;) {
-      const ssize_t n = ::read(mc->fd, buf, sizeof(buf));
-      if (n > 0) {
-        mc->decoder.Feed(buf, static_cast<size_t>(n));
-        continue;
-      }
-      if (n < 0 && errno == EINTR) continue;
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-      fail(mc);  // EOF or hard error mid-run.
-      return;
-    }
-    if (!drain_responses(mc)) fail(mc);
-  };
-
-  std::vector<pollfd> pfds;
-  std::vector<size_t> pfd_conn;
-
-  auto poll_once = [&](bool topping_up, int timeout_ms) {
-    pfds.clear();
-    pfd_conn.clear();
-    for (size_t i = 0; i < conns.size(); ++i) {
-      MuxConn& mc = conns[i];
-      if (mc.broken) continue;
-      short events = POLLIN;
-      if (mc.out_off < mc.out.size()) events |= POLLOUT;
-      pfds.push_back(pollfd{mc.fd, events, 0});
-      pfd_conn.push_back(i);
-    }
-    if (pfds.empty()) return false;
-    const int ready = ::poll(pfds.data(), pfds.size(), timeout_ms);
-    if (ready <= 0) return true;  // Timeout/EINTR: caller re-checks time.
-    for (size_t p = 0; p < pfds.size(); ++p) {
-      if (pfds[p].revents == 0) continue;
-      MuxConn& mc = conns[pfd_conn[p]];
-      if (mc.broken) continue;
-      if (pfds[p].revents & (POLLIN | POLLERR | POLLHUP)) on_readable(&mc);
-      if (mc.broken) continue;
-      if (pfds[p].revents & POLLOUT) try_send(&mc);
-      if (mc.broken) continue;
-      if (topping_up) top_up(&mc);
-    }
-    return true;
-  };
-
-  for (MuxConn& mc : conns) {
-    if (!mc.broken) top_up(&mc);
+      });
+  for (int i = 0; i < connections; ++i) {
+    driver.Connect(options.host, options.port);
   }
-  while (NowNanos() < end_ns) {
-    if (!measuring && NowNanos() >= measure_start_ns) {
-      // Warmup boundary: drop everything counted so far.
-      *local = LoadGenStats{};
-      measuring = true;
-    }
-    if (!poll_once(/*topping_up=*/true, /*timeout_ms=*/50)) break;
-  }
-
-  // Drain: stop generating, collect in-flight responses until done or the
-  // per-request deadline budget runs out.
-  const uint64_t drain_deadline_ns =
-      NowNanos() + (options.deadline_ms > 0
-                        ? static_cast<uint64_t>(options.deadline_ms) * 1000000
-                        : 0);
-  for (;;) {
-    size_t inflight = 0;
-    for (const MuxConn& mc : conns) inflight += mc.outstanding.size();
-    if (inflight == 0) break;
-    if (options.deadline_ms > 0 && NowNanos() >= drain_deadline_ns) {
-      // Every remaining in-flight response never came, not just one.
-      local->transport_errors += inflight;
-      break;
-    }
-    if (!poll_once(/*topping_up=*/false, /*timeout_ms=*/50)) break;
-  }
-  for (MuxConn& mc : conns) {
-    if (mc.fd >= 0) ::close(mc.fd);
-  }
-  // Report the window actually measured, not the configured one — a run
-  // whose connections all died early must not inflate its throughput
-  // denominator (or deflate it, if the drain ran long).
+  measure_start_ns =
+      NowNanos() + static_cast<uint64_t>(options.warmup_seconds * 1e9);
+  const uint64_t end_ns =
+      measure_start_ns + static_cast<uint64_t>(options.seconds * 1e9);
+  driver.Run([end_ns] { return NowNanos() >= end_ns; });
+  driver.Drain();
+  local->transport_errors = driver.failures();
+  // Report the window actually measured: a thread whose connections all
+  // died early measured less than the configured one.
   const uint64_t measured_end = std::min(NowNanos(), end_ns);
   local->elapsed_seconds =
       measured_end > measure_start_ns
@@ -426,70 +346,66 @@ void MuxClientThread(const LoadGenOptions& options, int thread_index,
 Status RunKvAudit(const LoadGenOptions& options, uint64_t min_read_lsn,
                   KvAuditResult* out) {
   *out = KvAuditResult{};
-  Client client;
-  NEXT700_RETURN_IF_ERROR(client.Connect(options.host, options.port));
-  const size_t depth = static_cast<size_t>(
-      options.pipeline_depth > 0 ? options.pipeline_depth : 1);
-  std::deque<uint64_t> outstanding;  // Keys, in request order.
-
-  auto receive_one = [&]() -> Status {
-    Response response;
-    NEXT700_RETURN_IF_ERROR(client.Recv(&response, options.deadline_ms));
-    const uint64_t key = outstanding.front();
-    outstanding.pop_front();
-    ++out->keys_checked;
-    out->snapshot_lsn = response.commit_lsn;
-    if (response.status == StatusCode::kOk) {
-      if (response.payload.size() < sizeof(uint64_t)) {
-        return Status::Corruption("audit: short kv_get payload");
-      }
-      uint64_t counter;
-      std::memcpy(&counter, response.payload.data(), sizeof(counter));
-      out->increment_sum += counter - key;  // Seed counter equals the key.
-    } else if (response.status == StatusCode::kNotFound) {
-      ++out->missing;
-    } else {
-      ++out->errors;
-    }
-    return Status::OK();
-  };
-
-  for (uint64_t key = 0; key < options.num_records; ++key) {
-    Request request;
-    request.request_id = key + 1;
-    request.proc_id = kKvGet;
-    request.min_read_lsn = min_read_lsn;
-    WireWriter args(&request.args);
-    args.PutU64(key);
-    if (options.declare_partitions) {
-      request.partitions.push_back(
-          KvPartitionOf(key, options.num_partitions));
-    }
-    NEXT700_RETURN_IF_ERROR(client.Send(request));
-    outstanding.push_back(key);
-    if (outstanding.size() >= depth) NEXT700_RETURN_IF_ERROR(receive_one());
+  Status status;
+  uint64_t next_key = 0;
+  PipelineDriver driver(
+      options.pipeline_depth, options.deadline_ms,
+      [&] {
+        Request request;
+        request.proc_id = kKvGet;
+        request.min_read_lsn = min_read_lsn;
+        WireWriter(&request.args).PutU64(next_key);
+        if (options.declare_partitions) {
+          request.partitions.push_back(
+              KvPartitionOf(next_key, options.num_partitions));
+        }
+        ++next_key;
+        return request;
+      },
+      [&](const Request& request, const Response* response, uint64_t,
+          uint64_t) {
+        if (response == nullptr) return;  // Counted in failures().
+        uint64_t key = 0;
+        WireReader(request.args.data(), request.args.size()).GetU64(&key);
+        ++out->keys_checked;
+        out->snapshot_lsn = response->commit_lsn;
+        if (response->status == StatusCode::kOk) {
+          if (response->payload.size() < sizeof(uint64_t)) {
+            status = Status::Corruption("audit: short kv_get payload");
+            return;
+          }
+          uint64_t counter;
+          std::memcpy(&counter, response->payload.data(), sizeof(counter));
+          out->increment_sum += counter - key;  // Seed counter is the key.
+        } else if (response->status == StatusCode::kNotFound) {
+          ++out->missing;
+        } else {
+          ++out->errors;
+        }
+      });
+  if (!driver.Connect(options.host, options.port)) {
+    return Status::Unavailable("audit: cannot connect");
   }
-  while (!outstanding.empty()) NEXT700_RETURN_IF_ERROR(receive_one());
-  return Status::OK();
+  driver.Run([&] { return next_key >= options.num_records || !status.ok(); });
+  driver.Drain();
+  if (driver.failures() > 0) {
+    return Status::Unavailable("audit: connection failed mid-scan");
+  }
+  return status;
 }
 
 LoadGenStats RunLoadGen(const LoadGenOptions& options) {
   const int n = options.connections > 0 ? options.connections : 1;
-  const bool mux = options.threads > 0 && options.threads < n;
-  const int thread_count = mux ? options.threads : n;
+  const int thread_count =
+      options.threads > 0 ? std::min(options.threads, n) : n;
   std::vector<LoadGenStats> locals(static_cast<size_t>(thread_count));
   std::vector<std::thread> threads;
   threads.reserve(static_cast<size_t>(thread_count));
   for (int i = 0; i < thread_count; ++i) {
-    if (mux) {
-      // Spread the connections as evenly as the remainder allows.
-      const int share = n / thread_count + (i < n % thread_count ? 1 : 0);
-      threads.emplace_back(MuxClientThread, std::cref(options), i, share,
-                           &locals[static_cast<size_t>(i)]);
-    } else {
-      threads.emplace_back(ClientThread, std::cref(options), i,
-                           &locals[static_cast<size_t>(i)]);
-    }
+    // Spread the connections as evenly as the remainder allows.
+    const int share = n / thread_count + (i < n % thread_count ? 1 : 0);
+    threads.emplace_back(LoadThread, std::cref(options), i, share,
+                         &locals[static_cast<size_t>(i)]);
   }
   for (auto& t : threads) t.join();
   LoadGenStats total;
@@ -499,6 +415,7 @@ LoadGenStats RunLoadGen(const LoadGenOptions& options) {
     total.aborted += local.aborted;
     total.resource_exhausted += local.resource_exhausted;
     total.other_errors += local.other_errors;
+    total.unknown += local.unknown;
     total.transport_errors += local.transport_errors;
     total.latency_ns.Merge(local.latency_ns);
     // Threads run concurrently: the aggregate window is the longest any

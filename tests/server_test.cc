@@ -372,6 +372,81 @@ TEST_P(ServerTest, LoadGenAgainstBothCompositions) {
   }
 }
 
+LoadGenOptions LoadAgainst(const Service& service) {
+  LoadGenOptions load;
+  load.port = service.server->port();
+  load.num_records = kRecords;
+  return load;
+}
+
+// Every request the generator sent ends exactly once: answered, or lost in
+// flight on a connection that failed (and counted once as failed).
+TEST_P(ServerTest, LoadGenBooksBalanceWhenServerStopsMidRun) {
+  Service service = StartService(CcScheme::kOcc, LoggingKind::kNone);
+  LoadGenOptions load = LoadAgainst(service);
+  load.connections = 4;
+  load.pipeline_depth = 8;
+  load.warmup_seconds = 0;
+  load.seconds = 2.0;
+  std::thread stopper([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    service.server->Stop();
+  });
+  const auto start = std::chrono::steady_clock::now();
+  const LoadGenStats stats = RunLoadGen(load);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  stopper.join();
+  EXPECT_GT(stats.ok, 0u);
+  EXPECT_EQ(stats.requests_sent, stats.ok + stats.aborted +
+                                     stats.resource_exhausted +
+                                     stats.other_errors + stats.unknown);
+  EXPECT_EQ(stats.transport_errors, 4u);
+  EXPECT_LT(elapsed, std::chrono::milliseconds(1500));
+}
+
+TEST_P(ServerTest, LoadGenMultiplexesConnectionsOverFewerThreads) {
+  Service service = StartService(CcScheme::kOcc, LoggingKind::kNone);
+  const uint64_t accepted_before =
+      service.server->stats().connections_accepted.load();
+  LoadGenOptions load = LoadAgainst(service);
+  load.connections = 10;
+  load.threads = 3;  // Shares of 4, 3 and 3.
+  load.pipeline_depth = 4;
+  load.seconds = 0.5;
+  const LoadGenStats stats = RunLoadGen(load);
+  EXPECT_EQ(service.server->stats().connections_accepted.load() -
+                accepted_before,
+            10u);
+  EXPECT_GT(stats.ok, 0u);
+  EXPECT_EQ(stats.transport_errors, 0u);
+  EXPECT_EQ(stats.unknown, 0u);
+}
+
+// A connection with requests in flight and no reply for deadline_ms fails
+// mid-run, even when one thread multiplexes it with others.
+TEST_P(ServerTest, LoadGenFailsAStalledConnectionAfterItsDeadline) {
+  Service service = StartService(
+      CcScheme::kOcc, LoggingKind::kValue, {}, 2,
+      [](EngineOptions& eng) { eng.log_device_latency_us = 2000000; });
+  LoadGenOptions load = LoadAgainst(service);
+  load.connections = 2;
+  load.threads = 1;
+  load.pipeline_depth = 4;
+  load.seconds = 5.0;
+  load.deadline_ms = 200;
+  load.get_fraction = 0.0;
+  load.put_fraction = 0.0;  // All rmw: every reply waits for the device.
+  load.rmw_keys = 1;
+  const auto start = std::chrono::steady_clock::now();
+  const LoadGenStats stats = RunLoadGen(load);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_LT(elapsed, std::chrono::milliseconds(load.deadline_ms + 1000));
+  EXPECT_EQ(stats.transport_errors, 2u);
+  EXPECT_EQ(stats.ok, 0u);
+  EXPECT_GT(stats.unknown, 0u);
+  EXPECT_EQ(stats.requests_sent, stats.aborted + stats.unknown);
+}
+
 TEST_P(ServerTest, StopWithConnectedClientsIsClean) {
   Service service = StartService(CcScheme::kOcc, LoggingKind::kValue);
   Client client;

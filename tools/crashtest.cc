@@ -101,7 +101,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <deque>
 #include <fstream>
 #include <functional>
 #include <map>
@@ -120,6 +119,7 @@
 #include "log/recovery.h"
 #include "repl/replica_applier.h"
 #include "server/client.h"
+#include "server/loadgen.h"
 #include "server/procs.h"
 #include "server/server.h"
 #include "shard/shard_router.h"
@@ -367,6 +367,26 @@ void RunChild(uint64_t seed, const std::string& log_dir, int event_fd) {
   ::_exit(0);
 }
 
+/// The plan fields a log-mode FAIL line carries, so a failing seed names
+/// its fault and crash point without a rerun.
+std::string PlanSummary(const FaultPlan& plan) {
+  static const char* const kKindNames[] = {"crash-before-write",
+                                           "torn-write", "bit-flip"};
+  return std::string(" [logging=") +
+         (plan.logging == LoggingKind::kValue ? "value" : "command") +
+         " log_fault=" +
+         (plan.log_fault
+              ? std::string(kKindNames[static_cast<int>(plan.kind)]) +
+                    " write_index=" + std::to_string(plan.write_index)
+              : std::string("none")) +
+         " checkpointing=" + std::to_string(plan.checkpointing) +
+         " ckpt_background=" + std::to_string(plan.ckpt_background) +
+         " ckpt_crash_point=" +
+         (plan.ckpt_crash_point >= 0 ? kCkptCrashPoints[plan.ckpt_crash_point]
+                                     : "none") +
+         " ckpt_crash_hits=" + std::to_string(plan.ckpt_crash_hits) + "]";
+}
+
 struct RoundResult {
   bool ok = false;
   std::string detail;
@@ -555,9 +575,9 @@ int RunRound(uint64_t seed, const std::string& log_dir) {
       VerifyRound(seed, log_dir, acked, saw_write ? max_write_index : 0,
                   /*child_crashed=*/code == 42);
   if (!result.ok) {
-    std::fprintf(stderr, "seed %llu: FAIL: %s\n",
-                 static_cast<unsigned long long>(seed),
-                 result.detail.c_str());
+    std::fprintf(stderr, "seed %llu: FAIL: %s%s\n",
+                 static_cast<unsigned long long>(seed), result.detail.c_str(),
+                 PlanSummary(MakePlan(seed)).c_str());
     return 1;
   }
   std::printf("seed %llu: %s (%s, acked %llu+%llu)\n",
@@ -572,7 +592,7 @@ int RunRound(uint64_t seed, const std::string& log_dir) {
 // --- Replication rounds -----------------------------------------------------
 
 constexpr uint64_t kReplRecords = 512;
-constexpr size_t kReplPipelineDepth = 4;
+constexpr int kReplPipelineDepth = 4;
 
 struct ReplPlan {
   bool kill_primary;        // Else kill the replica.
@@ -669,13 +689,13 @@ void RunReplReplicaChild(const ReplPlan& plan, const std::string& dir,
   ::_exit(0);
 }
 
-server::Request ReplRmwRequest(uint64_t request_id, uint64_t key) {
+/// A kv_rmw over `keys`; the pipeline driver assigns its request id.
+server::Request RmwRequest(const std::vector<uint64_t>& keys) {
   server::Request request;
-  request.request_id = request_id;
   request.proc_id = server::kKvRmw;
   server::WireWriter args(&request.args);
-  args.PutU16(1);
-  args.PutU64(key);
+  args.PutU16(static_cast<uint16_t>(keys.size()));
+  for (const uint64_t key : keys) args.PutU64(key);
   return request;
 }
 
@@ -697,11 +717,52 @@ bool ReadLogBytes(const std::string& dir, std::vector<uint8_t>* out) {
 
 struct AckedCounts {
   std::map<uint64_t, uint64_t> acked;     // key -> committed increments.
-  std::map<uint64_t, uint64_t> inflight;  // Sent, unacked at the kill.
+  std::map<uint64_t, uint64_t> inflight;  // Sent, outcome unknown.
 };
 
-/// Verifies per-key counters of a recovered engine against the ack record:
-/// at least every acked increment, at most acked + in-flight.
+/// Books one load op of a kv_rmw pipeline against its keys: OK is acked;
+/// kAborted is definitive (nothing was, or ever will be, applied); any
+/// other status, or an unknown outcome, may be durable with its reply
+/// lost, so it widens the upper bound.
+void CountOutcome(const server::Request& request,
+                  const server::Response* response, AckedCounts* counts) {
+  if (response != nullptr && response->status == StatusCode::kAborted) {
+    return;
+  }
+  auto& bucket = response != nullptr && response->status == StatusCode::kOk
+                     ? counts->acked
+                     : counts->inflight;
+  server::WireReader args(request.args.data(), request.args.size());
+  uint16_t n = 0;
+  uint64_t key = 0;
+  args.GetU16(&n);
+  for (uint16_t i = 0; i < n && args.GetU64(&key); ++i) ++bucket[key];
+}
+
+/// The durability bound on one key's counter delta: at least every acked
+/// increment, at most acked + in-flight. `prefix` leads the FAIL text.
+RoundResult CheckAckedBounds(const AckedCounts& counts, uint64_t key,
+                             uint64_t delta, const std::string& prefix) {
+  const auto acked_it = counts.acked.find(key);
+  const uint64_t acked =
+      acked_it == counts.acked.end() ? 0 : acked_it->second;
+  const auto inflight_it = counts.inflight.find(key);
+  const uint64_t inflight =
+      inflight_it == counts.inflight.end() ? 0 : inflight_it->second;
+  if (delta < acked) {
+    return Fail(prefix + "key " + std::to_string(key) +
+                " lost acked increments: " + std::to_string(delta) +
+                " survived < " + std::to_string(acked) + " acked");
+  }
+  if (delta > acked + inflight) {
+    return Fail(prefix + "key " + std::to_string(key) + " over-applied: " +
+                std::to_string(delta) + " > acked " + std::to_string(acked) +
+                " + inflight " + std::to_string(inflight));
+  }
+  return {true, ""};
+}
+
+/// Verifies per-key counters of a recovered engine against the ack record.
 RoundResult CheckCounters(Engine* engine, const AckedCounts& counts,
                           const char* which) {
   Index* index = engine->catalog()->GetIndex("kv_pk");
@@ -714,24 +775,10 @@ RoundResult CheckCounters(Engine* engine, const AckedCounts& counts,
     }
     uint64_t counter;
     std::memcpy(&counter, engine->RawImage(row), sizeof(counter));
-    const uint64_t delta = counter - key;  // Seed counter equals the key.
-    const auto acked_it = counts.acked.find(key);
-    const uint64_t acked =
-        acked_it == counts.acked.end() ? 0 : acked_it->second;
-    const auto inflight_it = counts.inflight.find(key);
-    const uint64_t inflight =
-        inflight_it == counts.inflight.end() ? 0 : inflight_it->second;
-    if (delta < acked) {
-      return Fail(std::string(which) + ": key " + std::to_string(key) +
-                  " lost acked increments: " + std::to_string(delta) +
-                  " survived < " + std::to_string(acked) + " acked");
-    }
-    if (delta > acked + inflight) {
-      return Fail(std::string(which) + ": key " + std::to_string(key) +
-                  " over-applied: " + std::to_string(delta) + " > acked " +
-                  std::to_string(acked) + " + inflight " +
-                  std::to_string(inflight));
-    }
+    // Seed counter equals the key.
+    const RoundResult bounds = CheckAckedBounds(
+        counts, key, counter - key, std::string(which) + ": ");
+    if (!bounds.ok) return bounds;
   }
   return {true, ""};
 }
@@ -827,56 +874,43 @@ int RunReplRound(uint64_t seed, const std::string& base_dir) {
   // Pipelined increment load against the primary; the kill lands with
   // requests in flight, so the crash hits mid-commit, not between them.
   Rng rng(seed * 0xD1B54A32D192ED03ull + 7);
-  server::Client client;
-  if (!client.Connect("127.0.0.1", port).ok()) {
+  AckedCounts counts;
+  uint64_t acked_total = 0;
+  bool load_error = false;
+  const auto next_rmw = [&] {
+    return RmwRequest({rng.NextUint64(kReplRecords)});
+  };
+  const auto count = [&](const server::Request& request,
+                         const server::Response* response, uint64_t,
+                         uint64_t) {
+    // kAborted is a legitimate NO_WAIT conflict between the pipelined
+    // requests: nothing was logged. Anything else but OK ends the load.
+    if (response != nullptr && response->status == StatusCode::kOk) {
+      ++acked_total;
+    } else if (response == nullptr ||
+               response->status != StatusCode::kAborted) {
+      load_error = true;
+    }
+    CountOutcome(request, response, &counts);
+  };
+  server::PipelineDriver load(kReplPipelineDepth, /*deadline_ms=*/10000,
+                              next_rmw, count);
+  if (!load.Connect("127.0.0.1", port)) {
     return fail_round("cannot connect to primary");
   }
-  AckedCounts counts;
-  std::deque<std::pair<uint64_t, uint64_t>> outstanding;  // id, key.
-  uint64_t next_id = 1;
-  uint64_t acked_total = 0;
-  bool transport_down = false;
-  auto receive_one = [&]() -> bool {
-    server::Response response;
-    if (!client.Recv(&response, /*deadline_ms=*/10000).ok()) return false;
-    if (outstanding.empty() ||
-        response.request_id != outstanding.front().first) {
-      return false;
-    }
-    const uint64_t key = outstanding.front().second;
-    outstanding.pop_front();
-    // kAborted is a legitimate NO_WAIT conflict between the pipelined
-    // requests: nothing was logged, so the increment is neither acked nor
-    // in flight. Keep loading.
-    if (response.status == StatusCode::kAborted) return true;
-    if (response.status != StatusCode::kOk) return false;
-    ++counts.acked[key];
-    ++acked_total;
-    return true;
-  };
-  while (acked_total < plan.kill_after && !transport_down) {
-    while (outstanding.size() < kReplPipelineDepth) {
-      const uint64_t key = rng.NextUint64(kReplRecords);
-      if (!client.Send(ReplRmwRequest(next_id, key)).ok()) {
-        transport_down = true;
-        break;
-      }
-      outstanding.emplace_back(next_id, key);
-      ++next_id;
-    }
-    if (transport_down || !receive_one()) break;
-  }
+  load.Run([&] { return acked_total >= plan.kill_after || load_error; });
   if (acked_total < plan.kill_after) {
     return fail_round("load stalled before the kill point: " +
                       std::to_string(acked_total) + " acked");
   }
+  uint64_t load_acked = acked_total;  // The round's report line.
 
   RoundResult result{true, ""};
   if (plan.kill_primary) {
     // Crash the primary with requests in flight; anything unacked may or
     // may not have reached the replica.
     ::kill(primary_pid, SIGKILL);
-    for (const auto& [id, key] : outstanding) ++counts.inflight[key];
+    load.Abandon();
     if (!ReapChild(primary_pid, true, "primary")) {
       return fail_round("primary reap failed");
     }
@@ -908,21 +942,28 @@ int RunReplRound(uint64_t seed, const std::string& base_dir) {
     if (!ReapChild(replica_pid, true, "replica")) {
       return fail_round("replica reap failed");
     }
-    while (!outstanding.empty() && receive_one()) {
-    }
-    if (!outstanding.empty()) {
+    load.Drain();
+    if (load_error) {
       return fail_round("primary dropped in-flight requests at replica "
                         "death");
     }
-    for (uint64_t i = 0; i < plan.post_kill_txns; ++i) {
-      const uint64_t key = rng.NextUint64(kReplRecords);
-      server::Response response;
-      if (!client.Call(ReplRmwRequest(next_id++, key), &response).ok() ||
-          response.status != StatusCode::kOk) {
-        return fail_round("primary stopped acking after replica death "
-                          "(semisync failed to degrade)");
-      }
-      ++counts.acked[key];
+    // Then one at a time: every commit must be acked.
+    load_acked = acked_total;
+    uint64_t issued = 0;
+    server::PipelineDriver post(
+        1, /*deadline_ms=*/10000,
+        [&] {
+          ++issued;
+          return next_rmw();
+        },
+        count);
+    if (post.Connect("127.0.0.1", port)) {
+      post.Run([&] { return issued >= plan.post_kill_txns || load_error; });
+      post.Drain();
+    }
+    if (acked_total - load_acked < plan.post_kill_txns) {
+      return fail_round("primary stopped acking after replica death "
+                        "(semisync failed to degrade)");
     }
     ::kill(primary_pid, SIGTERM);
     if (!ReapChild(primary_pid, false, "primary")) {
@@ -970,7 +1011,7 @@ int RunReplRound(uint64_t seed, const std::string& base_dir) {
   std::printf("seed %llu: %s survived (%llu acked, logging=%s)\n",
               static_cast<unsigned long long>(seed),
               plan.kill_primary ? "kill-primary" : "kill-replica",
-              static_cast<unsigned long long>(acked_total),
+              static_cast<unsigned long long>(load_acked),
               plan.logging == LoggingKind::kValue ? "value" : "command");
   return 0;
 }
@@ -1009,7 +1050,7 @@ constexpr uint64_t kShardRecords = 256;
 constexpr uint64_t kShardPairKeys = 128;  // Keys 0..127: 64 pairs.
 constexpr uint64_t kShardSingleBase = 128;
 constexpr uint32_t kShardPartitions = 8;
-constexpr size_t kShardPipelineDepth = 4;
+constexpr int kShardPipelineDepth = 4;
 
 struct ShardPlan {
   enum class Kill {
@@ -1218,17 +1259,6 @@ void KillShardTopology(ShardTopology* topo) {
   for (pid_t* pid : pids) ReapShardMember(pid, /*killed=*/true, "topology");
 }
 
-server::Request ShardRmwRequest(uint64_t request_id,
-                                const std::vector<uint64_t>& keys) {
-  server::Request request;
-  request.request_id = request_id;
-  request.proc_id = server::kKvRmw;
-  server::WireWriter args(&request.args);
-  args.PutU16(static_cast<uint16_t>(keys.size()));
-  for (const uint64_t key : keys) args.PutU64(key);
-  return request;
-}
-
 /// Reads every key through the (recovered) router, retrying kUnavailable
 /// while in-doubt gates clear, and checks the durability + atomicity
 /// contract against the parent's ack record. Finishes with a liveness
@@ -1272,23 +1302,8 @@ RoundResult AuditShardRound(uint16_t router_port, const AckedCounts& counts) {
     deltas[key] = counter - key;  // Seed counter equals the key.
   }
   for (uint64_t key = 0; key < kShardRecords; ++key) {
-    const auto acked_it = counts.acked.find(key);
-    const uint64_t acked =
-        acked_it == counts.acked.end() ? 0 : acked_it->second;
-    const auto inflight_it = counts.inflight.find(key);
-    const uint64_t inflight =
-        inflight_it == counts.inflight.end() ? 0 : inflight_it->second;
-    if (deltas[key] < acked) {
-      return Fail("key " + std::to_string(key) + " lost acked increments: " +
-                  std::to_string(deltas[key]) + " survived < " +
-                  std::to_string(acked) + " acked");
-    }
-    if (deltas[key] > acked + inflight) {
-      return Fail("key " + std::to_string(key) + " over-applied: " +
-                  std::to_string(deltas[key]) + " > acked " +
-                  std::to_string(acked) + " + inflight " +
-                  std::to_string(inflight));
-    }
+    const RoundResult bounds = CheckAckedBounds(counts, key, deltas[key], "");
+    if (!bounds.ok) return bounds;
   }
   for (uint64_t key = 0; key < kShardPairKeys; key += 2) {
     if (deltas[key] != deltas[key + 1]) {
@@ -1304,7 +1319,9 @@ RoundResult AuditShardRound(uint16_t router_port, const AckedCounts& counts) {
     bool committed = false;
     for (int attempt = 0; attempt < 100 && !committed; ++attempt) {
       server::Response response;
-      if (!client.Call(ShardRmwRequest(next_id++, keys), &response).ok()) {
+      server::Request request = RmwRequest(keys);
+      request.request_id = next_id++;
+      if (!client.Call(request, &response).ok()) {
         return Fail("liveness probe transport failure");
       }
       if (response.status == StatusCode::kOk) {
@@ -1339,89 +1356,46 @@ int RunShardRound(uint64_t seed, const std::string& base_dir) {
     return fail_round("shard topology failed to start");
   }
 
-  server::Client client;
-  if (!client.Connect("127.0.0.1", topo.router_port).ok()) {
-    return fail_round("cannot connect to router");
-  }
   Rng rng(seed * 0x9E3779B97F4A7C15ull + 13);
   AckedCounts counts;
-  struct Pending {
-    uint64_t id;
-    std::vector<uint64_t> keys;
-  };
-  std::deque<Pending> outstanding;
-  uint64_t next_id = 1;
   uint64_t acked_txns = 0;
   uint64_t sent_txns = 0;
-  bool transport_down = false;
   bool shard_unavailable = false;
   constexpr uint64_t kMaxTxns = 4000;
-
-  // Half the mix is a deliberate cross-shard pair; the rest is one
-  // single-shard key from the disjoint upper range.
-  auto make_keys = [&]() -> std::vector<uint64_t> {
-    if (rng.NextUint64(100) < 50) {
-      const uint64_t pair = rng.NextUint64(kShardPairKeys / 2) * 2;
-      return {pair, pair + 1};
-    }
-    return {kShardSingleBase +
-            rng.NextUint64(kShardRecords - kShardSingleBase)};
-  };
-  auto receive_one = [&]() -> bool {
-    server::Response response;
-    if (!client.Recv(&response, /*deadline_ms=*/10000).ok()) return false;
-    if (outstanding.empty() ||
-        response.request_id != outstanding.front().id) {
-      return false;
-    }
-    const std::vector<uint64_t> keys = std::move(outstanding.front().keys);
-    outstanding.pop_front();
-    switch (response.status) {
-      case StatusCode::kOk:
-        for (const uint64_t key : keys) ++counts.acked[key];
-        ++acked_txns;
-        break;
-      case StatusCode::kAborted:
-        // Definitive: presumed abort — no commit decision exists, nothing
-        // was (or ever will be) applied.
-        break;
-      default:
-        // kUnavailable and friends: outcome unknown — the work may be
-        // durable on a shard with the reply lost. Widen the upper bound.
-        for (const uint64_t key : keys) ++counts.inflight[key];
-        if (response.status == StatusCode::kUnavailable) {
+  server::PipelineDriver load(
+      kShardPipelineDepth, /*deadline_ms=*/10000,
+      [&] {
+        // Half the mix is a deliberate cross-shard pair; the rest is one
+        // single-shard key from the disjoint upper range.
+        ++sent_txns;
+        if (rng.NextUint64(100) < 50) {
+          const uint64_t pair = rng.NextUint64(kShardPairKeys / 2) * 2;
+          return RmwRequest({pair, pair + 1});
+        }
+        return RmwRequest({kShardSingleBase +
+                           rng.NextUint64(kShardRecords - kShardSingleBase)});
+      },
+      [&](const server::Request& request, const server::Response* response,
+          uint64_t, uint64_t) {
+        if (response != nullptr && response->status == StatusCode::kOk) {
+          ++acked_txns;
+        }
+        if (response != nullptr &&
+            response->status == StatusCode::kUnavailable) {
           shard_unavailable = true;
         }
-        break;
-    }
-    return true;
-  };
-
-  const bool sigkill_mode = plan.kill == ShardPlan::Kill::kRouterKill;
-  while (!transport_down && !shard_unavailable && sent_txns < kMaxTxns) {
-    if (sigkill_mode && acked_txns >= plan.kill_after) break;
-    while (outstanding.size() < kShardPipelineDepth) {
-      std::vector<uint64_t> keys = make_keys();
-      if (!client.Send(ShardRmwRequest(next_id, keys)).ok()) {
-        transport_down = true;
-        break;
-      }
-      outstanding.push_back({next_id, std::move(keys)});
-      ++next_id;
-      ++sent_txns;
-    }
-    if (transport_down) break;
-    if (!receive_one()) {
-      transport_down = true;
-      break;
-    }
+        CountOutcome(request, response, &counts);
+      });
+  if (!load.Connect("127.0.0.1", topo.router_port)) {
+    return fail_round("cannot connect to router");
   }
-  auto spill_outstanding = [&]() {
-    for (const Pending& pending : outstanding) {
-      for (const uint64_t key : pending.keys) ++counts.inflight[key];
-    }
-    outstanding.clear();
-  };
+  const bool sigkill_mode = plan.kill == ShardPlan::Kill::kRouterKill;
+  load.Run([&] {
+    return shard_unavailable || sent_txns >= kMaxTxns ||
+           (sigkill_mode && acked_txns >= plan.kill_after);
+  });
+  // A failed router connection ends every in-flight op as unknown.
+  const bool transport_down = load.failures() > 0;
 
   const char* mode = "?";
   switch (plan.kill) {
@@ -1430,7 +1404,6 @@ int RunShardRound(uint64_t seed, const std::string& base_dir) {
       if (!transport_down) {
         return fail_round("coordinator crash hook never fired");
       }
-      spill_outstanding();
       if (!ReapCrashedMember(&topo.router_pid, "router")) {
         return fail_round("router reap failed");
       }
@@ -1451,9 +1424,7 @@ int RunShardRound(uint64_t seed, const std::string& base_dir) {
         return fail_round("participant crash hook never fired");
       }
       // The router is alive: every outstanding request gets some reply.
-      while (!outstanding.empty() && receive_one()) {
-      }
-      spill_outstanding();
+      load.Drain();
       if (!ReapCrashedMember(&topo.shard_pids[plan.victim_shard],
                              "victim shard")) {
         return fail_round("victim shard reap failed");
@@ -1473,7 +1444,7 @@ int RunShardRound(uint64_t seed, const std::string& base_dir) {
         return fail_round("topology degraded before the kill point");
       }
       ::kill(topo.router_pid, SIGKILL);
-      spill_outstanding();
+      load.Abandon();
       if (!ReapShardMember(&topo.router_pid, /*killed=*/true, "router")) {
         return fail_round("router reap failed");
       }

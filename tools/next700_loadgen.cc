@@ -1,8 +1,9 @@
 /// next700_loadgen — multi-threaded load generator for a running
-/// `next700_run serve` instance. One pipelined connection per thread,
-/// driving the KV stored-procedure suite with a configurable get/put/rmw
-/// mix over Zipf-skewed keys; prints throughput, outcome counts, and
-/// client-observed latency percentiles.
+/// `next700_run serve` instance. One poll thread per pipelined connection
+/// (or --threads shared among them), driving the KV stored-procedure
+/// suite with a configurable get/put/rmw mix over Zipf-skewed keys;
+/// prints throughput, outcome counts, and client-observed latency
+/// percentiles.
 ///
 /// The key-space flags (--records, --partitions, --value-size) must match
 /// the server's composition; --declare-partitions is required when the
@@ -40,7 +41,7 @@ void Usage() {
       "--num-shards > 1 (driving a shard router) makes rmw key sets\n"
       "shard-aware; --multi-shard is the fraction of rmws that span two\n"
       "shards (cross-shard 2PC transactions).\n"
-      "--threads=0 (default) runs one blocking thread per connection;\n"
+      "--threads=0 (default) runs one poll thread per connection;\n"
       "--threads=N multiplexes the connections over N poll() threads —\n"
       "required to drive hundreds or thousands of connections.\n"
       "--check exits nonzero unless the run had OK commits and no "
@@ -142,6 +143,8 @@ int main(int argc, char** argv) {
   std::printf("errors:     %llu other, %llu transport\n",
               static_cast<unsigned long long>(stats.other_errors),
               static_cast<unsigned long long>(stats.transport_errors));
+  std::printf("unknown:    %llu (in flight on failed connections)\n",
+              static_cast<unsigned long long>(stats.unknown));
   std::printf("latency:    %s\n", stats.latency_ns.Summary().c_str());
 
   if (check && (stats.ok == 0 || stats.transport_errors != 0)) {

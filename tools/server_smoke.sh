@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Loopback smoke test for the transaction service: start `next700_run serve`
-# on an ephemeral port, drive it with next700_loadgen, and assert the run
+# on an ephemeral port, drive it with next700_loadgen (one thread per
+# connection, then 16 connections over 2 threads), and assert each run
 # committed work with no transport errors (loadgen --check). Used by CI.
 #
 # usage: server_smoke.sh <build-dir> [extra serve flags...]
@@ -37,6 +38,9 @@ done
 
 "$LOADGEN" --port="$PORT" --connections=4 --pipeline=8 --seconds=2 \
   --records=20000 --get=0.5 --put=0.25 --rmw-keys=2 --check
+# The same driver multiplexing 8 connections on each of 2 threads.
+"$LOADGEN" --port="$PORT" --connections=16 --threads=2 --pipeline=4 \
+  --seconds=1 --records=20000 --check
 
 kill -INT "$SERVER_PID"
 wait "$SERVER_PID"
