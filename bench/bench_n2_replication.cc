@@ -108,7 +108,7 @@ int main(int argc, char** argv) {
         rkv.num_records = records;
         server::RegisterKvService(node->engine.get(), rkv);
         repl::ReplicaApplierOptions opts;
-        opts.primary_port = server.port();
+        opts.primary = "127.0.0.1:" + std::to_string(server.port());
         node->applier = std::make_unique<repl::ReplicaApplier>(
             node->engine.get(), opts);
         const Status s = node->applier->Start();

@@ -420,11 +420,13 @@ Status CheckpointCoordinator::CheckpointNow(CheckpointStats* stats) {
   Hook("checkpoint:before-retire");
   if (truncate) {
     // The MANIFEST recording the new base is durable, so segments below
-    // the checkpoint are unreachable by recovery whether or not these
-    // unlinks complete — a crash here leaves stale files the next Open()
-    // deletes.
+    // that base are unreachable by recovery whether or not these unlinks
+    // complete — a crash here leaves stale files the next Open() deletes.
+    // Retire by the recorded base, not by start_lsn: the flusher may have
+    // sealed the base segment below start_lsn since BaseAfterRetire named
+    // it, and the MANIFEST still needs it.
     NEXT700_RETURN_IF_ERROR(log->RetireSegmentsBelow(
-        start_lsn, [this] { Hook("checkpoint:mid-retire"); }));
+        manifest.log_base_lsn, [this] { Hook("checkpoint:mid-retire"); }));
   }
 
   Hook("checkpoint:before-cleanup");

@@ -193,6 +193,19 @@ Status ListLogSegments(const std::string& dir, std::vector<LogSegment>* out) {
   return Status::OK();
 }
 
+Status CheckSegmentChain(const std::vector<LogSegment>& segments,
+                         size_t first, uint64_t base_index) {
+  for (size_t i = first; i < segments.size(); ++i) {
+    if (segments[i].index != base_index + (i - first)) {
+      return Status::Corruption(
+          "log segment chain broken: expected segment " +
+          std::to_string(base_index + (i - first)) + ", found " +
+          segments[i].path);
+    }
+  }
+  return Status::OK();
+}
+
 Status EnsureLogDir(const std::string& dir) {
   if (::mkdir(dir.c_str(), 0755) == 0) {
     // The new directory's entry lives in its *parent*: without this

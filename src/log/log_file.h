@@ -149,6 +149,13 @@ std::string LogSegmentPath(const std::string& dir, uint64_t index);
 /// directory is not an error (empty result): a fresh log has no history.
 Status ListLogSegments(const std::string& dir, std::vector<LogSegment>* out);
 
+/// kCorruption unless the retained chain `segments[first..]` starts at
+/// `base_index` and has no index gap (an empty chain passes). LSNs are
+/// summed over the files, so a missing segment would silently shift every
+/// frame after it.
+Status CheckSegmentChain(const std::vector<LogSegment>& segments,
+                         size_t first, uint64_t base_index);
+
 /// Creates `dir` if missing (parent must exist). A freshly created
 /// directory's entry is fsynced into its parent: fdatasync on a segment
 /// persists the segment's data, not the mkdir that made it reachable.

@@ -114,6 +114,7 @@ Status LogManager::Open() {
     history.resize(keep);
     if (removed_stale) NEXT700_RETURN_IF_ERROR(SyncDir(options_.dir));
   }
+  NEXT700_RETURN_IF_ERROR(CheckSegmentChain(history, 0, options_.base_index));
   if (!history.empty()) {
     // A crash can leave a torn frame only at the tail of the final
     // segment. Cut it off *now*: once we append a new segment, that

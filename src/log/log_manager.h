@@ -115,7 +115,8 @@ class LogManager {
   /// after the surviving bytes, opens a fresh segment, and starts the
   /// flusher. Returns kCorruption — without truncating — if the final
   /// segment holds a complete frame with a bad checksum: that was flushed
-  /// that way and may cover acked transactions.
+  /// that way and may cover acked transactions. Also kCorruption if the
+  /// surviving chain does not start at `base_index` or skips an index.
   Status Open();
 
   /// Flushes outstanding records and stops the flusher. After Close(),

@@ -245,6 +245,8 @@ Status RecoveryManager::Replay(const std::string& path, RecoveryStats* stats,
            segments[first].index < log_base_index) {
       ++first;
     }
+    NEXT700_RETURN_IF_ERROR(
+        CheckSegmentChain(segments, first, log_base_index));
     for (size_t i = first; i < segments.size(); ++i) {
       const bool is_final = i + 1 == segments.size();
       NEXT700_RETURN_IF_ERROR(ReplaySegment(segments[i].path, base_lsn,

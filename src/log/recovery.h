@@ -68,8 +68,9 @@ class RecoveryManager {
   /// truncated log passes the MANIFEST's `log_base_index`/`log_base_lsn`:
   /// segments below the index are ignored (a retired prefix a crash left
   /// behind) and cumulative LSNs start at the base instead of 0. Returns
-  /// kCorruption for mid-log damage; a torn tail on the final segment ends
-  /// replay with OK.
+  /// kCorruption for mid-log damage and for a retained chain that does not
+  /// start at `log_base_index` or skips an index; a torn tail on the final
+  /// segment ends replay with OK.
   Status Replay(const std::string& path, RecoveryStats* stats,
                 Lsn start_lsn = 0, uint64_t log_base_index = 0,
                 Lsn log_base_lsn = 0);

@@ -1,8 +1,5 @@
 #include "repl/log_shipper.h"
 
-#include <algorithm>
-#include <utility>
-
 #include "server/protocol.h"
 
 namespace next700 {
@@ -22,11 +19,6 @@ Status LogShipper::NextBatch(std::vector<uint8_t>* out, bool* have_batch) {
   next_lsn_ = end;
   *have_batch = true;
   return Status::OK();
-}
-
-void LogShipper::RecordAck(Lsn durable, Lsn applied) {
-  acked_durable_ = std::max(acked_durable_, durable);
-  acked_applied_ = std::max(acked_applied_, applied);
 }
 
 }  // namespace repl

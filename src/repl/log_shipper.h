@@ -15,6 +15,7 @@
 /// durable callback (new bytes to ship), replica acks (lag bookkeeping),
 /// and socket writability (window reopened).
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -30,8 +31,7 @@ class LogShipper {
   /// subscription position (its local durable end) — it must be a frame
   /// boundary of the shared LSN space, which every replica ack is.
   LogShipper(LogManager* log, Lsn start_lsn)
-      : log_(log), next_lsn_(start_lsn),
-        acked_durable_(start_lsn), acked_applied_(start_lsn) {}
+      : log_(log), next_lsn_(start_lsn), acked_durable_(start_lsn) {}
 
   /// Appends one encoded ReplBatch frame (wire header included) to `*out`
   /// if durable bytes exist past the cursor, advancing the cursor.
@@ -41,21 +41,17 @@ class LogShipper {
   /// a checkpoint; the caller should drop the subscription.
   Status NextBatch(std::vector<uint8_t>* out, bool* have_batch);
 
-  /// Records a replica ack. Acks are cumulative; regressions are ignored.
-  void RecordAck(Lsn durable, Lsn applied);
-
-  Lsn next_lsn() const { return next_lsn_; }
+  /// Records a replica ack's durable LSN. Acks are cumulative;
+  /// regressions are ignored.
+  void RecordAck(Lsn durable) {
+    acked_durable_ = std::max(acked_durable_, durable);
+  }
   Lsn acked_durable() const { return acked_durable_; }
-  Lsn acked_applied() const { return acked_applied_; }
-
-  /// Bytes shipped but not yet replica-durable (lag in log bytes).
-  uint64_t unacked_bytes() const { return next_lsn_ - acked_durable_; }
 
  private:
   LogManager* log_;
   Lsn next_lsn_;
   Lsn acked_durable_;
-  Lsn acked_applied_;
 };
 
 }  // namespace repl

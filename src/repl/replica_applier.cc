@@ -1,22 +1,14 @@
 #include "repl/replica_applier.h"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 #include <vector>
 
 #include "common/macros.h"
-#include "server/client.h"
 #include "server/protocol.h"
 
 namespace next700 {
 namespace repl {
-
-namespace {
-// Consecutive recv deadlines with an unchanged partial frame in the decoder
-// before the session is declared stalled and torn down for a reconnect.
-constexpr int kMaxStalledDeadlines = 25;
-}  // namespace
 
 ReplicaApplier::ReplicaApplier(Engine* engine, ReplicaApplierOptions options)
     : engine_(engine), options_(std::move(options)), recovery_(engine) {
@@ -27,29 +19,27 @@ ReplicaApplier::ReplicaApplier(Engine* engine, ReplicaApplierOptions options)
 
 ReplicaApplier::~ReplicaApplier() { Stop(); }
 
-void ReplicaApplier::set_secondary_rebuilder(
-    RecoveryManager::SecondaryIndexRebuilder rebuilder) {
-  recovery_.set_secondary_rebuilder(std::move(rebuilder));
-}
-
 Status ReplicaApplier::Start() {
-  NEXT700_CHECK(!running_);
+  NEXT700_CHECK(loop_ == nullptr);
   // Bootstrap already applied everything in the local log (see the file
   // header), so the local durable end is both the applied watermark and
   // the subscription position.
   applied_lsn_.store(engine_->log_manager()->durable_lsn(),
                      std::memory_order_release);
-  stop_.store(false, std::memory_order_release);
-  running_ = true;
-  thread_ = std::thread([this] { ApplyLoop(); });
+  std::unique_ptr<server::EventLoop> loop;
+  NEXT700_RETURN_IF_ERROR(server::EventLoop::Create(
+      engine_->options().log_io_backend, this, &loop_stats_, &loop));
+  NEXT700_RETURN_IF_ERROR(loop->Dial(options_.primary));
+  loop_ = std::move(loop);
+  loop_->Start();
   return Status::OK();
 }
 
 void ReplicaApplier::Stop() {
-  if (!running_) return;
-  stop_.store(true, std::memory_order_release);
-  thread_.join();
-  running_ = false;
+  if (loop_ == nullptr) return;
+  loop_->Stop();
+  loop_.reset();  // Closes the connection.
+  connected_.store(false, std::memory_order_relaxed);
 }
 
 Status ReplicaApplier::stream_status() const {
@@ -57,105 +47,64 @@ Status ReplicaApplier::stream_status() const {
   return stream_status_;
 }
 
-void ReplicaApplier::ApplyLoop() {
-  while (!stop_.load(std::memory_order_acquire)) {
-    RunSession();
-    if (stop_.load(std::memory_order_acquire)) break;
-    if (!stream_status().ok()) break;  // Fatal; reconnecting cannot help.
-    reconnects_.fetch_add(1, std::memory_order_relaxed);
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(options_.reconnect_backoff_ms));
-  }
-  connected_.store(false, std::memory_order_relaxed);
+void ReplicaApplier::OnDialed(size_t /*peer*/, server::Connection* conn) {
+  // Subscribe from the local durable end. Everything below it was applied
+  // (bootstrap contract + apply-before-ack ordering), so the stream
+  // resumes without gaps or re-application.
+  std::vector<uint8_t> bytes;
+  server::Hello hello;
+  hello.role = server::PeerRole::kReplica;
+  server::EncodeHello(hello, &bytes);
+  server::EncodeReplAck(
+      server::ReplAck{engine_->log_manager()->durable_lsn(), applied_lsn()},
+      &bytes);
+  conn->EnqueueRaw(bytes.data(), bytes.size());
+  loop_->MarkDirty(conn);
 }
 
-void ReplicaApplier::RunSession() {
+bool ReplicaApplier::OnFrames(server::Connection* conn) {
   LogManager* log = engine_->log_manager();
-  server::Client client;
-  if (!client
-           .Connect(options_.primary_host, options_.primary_port,
-                    server::PeerRole::kReplica)
-           .ok()) {
-    return;  // Primary down or not yet up; back off and retry.
-  }
-  connected_.store(true, std::memory_order_relaxed);
-
-  // Subscribe from the local durable end. Everything below it was applied
-  // (bootstrap contract + this loop's apply-before-ack ordering), so the
-  // stream resumes without gaps or re-application.
-  server::ReplAck subscribe;
-  subscribe.durable_lsn = log->durable_lsn();
-  subscribe.applied_lsn = applied_lsn();
-  std::vector<uint8_t> encoded;
-  EncodeReplAck(subscribe, &encoded);
-  if (!client.SendRaw(encoded.data(), encoded.size()).ok()) {
-    connected_.store(false, std::memory_order_relaxed);
-    return;
-  }
-
-  // An idle primary (no new batches) and a primary stalled mid-frame both
-  // surface as kDeadlineExceeded. They differ in the decoder: idle leaves
-  // zero buffered bytes, a stall leaves a partial frame that never grows.
-  // Tolerate a bounded number of consecutive stalled deadlines, then drop
-  // the session and reconnect rather than waiting forever on a sick peer.
-  int stalled_deadlines = 0;
-  size_t last_buffered = 0;
-  while (!stop_.load(std::memory_order_acquire)) {
-    server::FrameType type;
-    std::vector<uint8_t> body;
-    const Status received =
-        client.RecvFrame(&type, &body, options_.recv_deadline_ms);
-    if (received.code() == StatusCode::kDeadlineExceeded) {
-      const size_t buffered = client.buffered_bytes();
-      if (buffered > 0 && buffered == last_buffered) {
-        if (++stalled_deadlines >= kMaxStalledDeadlines) break;
-      } else {
-        stalled_deadlines = 0;
+  for (;;) {
+    server::Frame frame;
+    bool have = false;
+    if (!conn->decoder()->Next(&frame, &have).ok()) break;
+    if (!have) return true;
+    if (!conn->handshaken()) {
+      server::HelloAck hello_ack;
+      if (frame.type != server::FrameType::kHelloAck ||
+          !server::DecodeHelloAck(frame.body, frame.body_len, &hello_ack)
+               .ok()) {
+        break;
       }
-      last_buffered = buffered;
+      conn->set_handshaken();
+      loop_->PeerUp(0);
+      connected_.store(true, std::memory_order_relaxed);
       continue;
     }
-    stalled_deadlines = 0;
-    last_buffered = 0;
-    if (!received.ok()) break;  // Connection lost; reconnect.
-    if (type != server::FrameType::kReplBatch) break;
-
+    // A checksum mismatch poisons only the connection, not the replica:
+    // nothing of the bad batch was appended, so the redial re-ships it. A
+    // batch that does not continue our log end means the subscription got
+    // out of sync; the redial resubscribes from scratch.
     server::ReplBatch batch;
-    const Status decoded =
-        server::DecodeReplBatch(body.data(), body.size(), &batch);
-    if (!decoded.ok()) {
-      // A checksum mismatch poisons only the connection, not the replica:
-      // nothing of the bad batch was appended, so reconnecting re-ships it.
+    if (frame.type != server::FrameType::kReplBatch ||
+        !server::DecodeReplBatch(frame.body, frame.body_len, &batch).ok() ||
+        batch.start_lsn != log->appended_lsn()) {
       break;
     }
-    const Lsn local_end = log->appended_lsn();
-    if (batch.start_lsn != local_end) {
-      // The stream must continue exactly at our log end — anything else
-      // means the subscription got out of sync; resubscribe from scratch.
-      break;
-    }
-
     log->AppendRaw(batch.frames.data(), batch.frames.size());
     const Lsn end = batch.end_lsn();
-    const Status durable = log->WaitDurable(end);
-    if (!durable.ok()) {
-      MutexLock lock(&status_mu_);
-      if (stream_status_.ok()) stream_status_ = durable;
-      break;
-    }
-
+    Status status = log->WaitDurable(end);
     RecoveryStats stats;
-    WriteLock();
-    const Status applied =
-        recovery_.ApplyFrames(batch.frames.data(), batch.frames.size(),
-                              &stats);
-    if (applied.ok()) {
-      applied_lsn_.store(end, std::memory_order_release);
+    if (status.ok()) {
+      WriteLock();
+      status = recovery_.ApplyFrames(batch.frames.data(),
+                                     batch.frames.size(), &stats);
+      if (status.ok()) applied_lsn_.store(end, std::memory_order_release);
+      WriteUnlock();
     }
-    WriteUnlock();
-    if (!applied.ok()) {
-      MutexLock lock(&status_mu_);
-      if (stream_status_.ok()) stream_status_ = applied;
+    if (!status.ok()) {
+      MutexLock lock(&status_mu_);  // The local log or engine is broken.
+      if (stream_status_.ok()) stream_status_ = status;
       break;
     }
     batches_applied_.fetch_add(1, std::memory_order_relaxed);
@@ -164,16 +113,26 @@ void ReplicaApplier::RunSession() {
         std::max(primary_durable_lsn_.load(std::memory_order_relaxed),
                  batch.primary_durable_lsn),
         std::memory_order_relaxed);
-
-    server::ReplAck ack;
-    ack.durable_lsn = end;
-    ack.applied_lsn = end;
-    encoded.clear();
-    EncodeReplAck(ack, &encoded);
-    if (!client.SendRaw(encoded.data(), encoded.size()).ok()) break;
+    std::vector<uint8_t> encoded;
+    server::EncodeReplAck(server::ReplAck{end, end}, &encoded);
+    conn->EnqueueRaw(encoded.data(), encoded.size());
+    loop_->MarkDirty(conn);
   }
+  // The loop redials a closed connection, unless a fatal error stuck: no
+  // redial can help then.
+  if (stream_status().ok()) {
+    loop_->Close(conn);
+  } else {
+    loop_->DropPeer(0);
+  }
+  return false;
+}
+
+void ReplicaApplier::OnClosed(server::Connection* /*conn*/) {
   connected_.store(false, std::memory_order_relaxed);
-  client.Close();
+  if (stream_status().ok()) {
+    reconnects_.fetch_add(1, std::memory_order_relaxed);  // The loop redials.
+  }
 }
 
 void ReplicaApplier::ReadLock() {

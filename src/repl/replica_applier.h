@@ -14,8 +14,11 @@
 /// bytes verbatim into it (LogManager::AppendRaw), so the two logs are
 /// byte-identical and share one LSN space.
 ///
-/// The applier thread connects to the primary with PeerRole::kReplica,
-/// subscribes from its local durable end, and for every received batch:
+/// The applier runs one server::EventLoop of its own (on the engine log's
+/// io backend kind) whose single outbound peer is the primary. On every
+/// fresh connection it queues a PeerRole::kReplica Hello plus a ReplAck
+/// subscribing from its local durable end, checks the HelloAck, and for
+/// every received batch, on the loop thread:
 /// append raw -> wait locally durable -> apply to the engine under the
 /// write side of the read gate (RecoveryManager::ApplyFrames: Thomas-rule
 /// value replay / serial command re-execution) -> advance applied LSN ->
@@ -35,17 +38,22 @@
 /// torn tail the dying applier left, exactly as it would after a primary
 /// crash; every byte the replica ever acked is below that tail.
 ///
-/// If the primary dies or the connection drops, the applier keeps serving
-/// reads and retries the connection with backoff until Stop().
+/// A dead primary, a dropped or stalled connection, or a batch that fails
+/// its checksum or does not continue the local log closes the connection,
+/// and the loop redials (event_loop.h); reads go on meanwhile. A local
+/// durability or apply failure sticks in stream_status() and ends the
+/// redials. Blocking the loop on the local log stalls nothing else, and
+/// Stop() returns within one loop wakeup (or one batch apply).
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <string>
-#include <thread>
 
 #include "common/status.h"
 #include "common/thread_safety.h"
 #include "log/recovery.h"
+#include "server/event_loop.h"
 #include "server/server.h"
 #include "txn/engine.h"
 
@@ -53,16 +61,12 @@ namespace next700 {
 namespace repl {
 
 struct ReplicaApplierOptions {
-  std::string primary_host = "127.0.0.1";
-  uint16_t primary_port = 0;
-  /// Delay between reconnect attempts when the primary is unreachable.
-  uint64_t reconnect_backoff_ms = 100;
-  /// Poll interval while waiting for stream bytes (also the Stop latency
-  /// bound: the applier checks for shutdown at least this often).
-  int64_t recv_deadline_ms = 200;
+  /// The primary's "host:port".
+  std::string primary;
 };
 
-class ReplicaApplier : public server::SnapshotSource {
+class ReplicaApplier : public server::SnapshotSource,
+                       private server::EventLoop::Handler {
  public:
   /// `engine` must outlive the applier, be bootstrapped as described
   /// above, and have a LogManager (logging enabled on the replica's own
@@ -72,16 +76,11 @@ class ReplicaApplier : public server::SnapshotSource {
   ReplicaApplier(const ReplicaApplier&) = delete;
   ReplicaApplier& operator=(const ReplicaApplier&) = delete;
 
-  /// Secondary-index rebuild hook for value replay (workload-specific),
-  /// forwarded to the RecoveryManager. Set before Start().
-  void set_secondary_rebuilder(
-      RecoveryManager::SecondaryIndexRebuilder rebuilder);
-
   /// Captures the local durable end as the applied watermark and starts
-  /// the apply thread.
+  /// the loop. kInvalidArgument for a bad primary address.
   Status Start();
 
-  /// Stops the apply thread and disconnects. Idempotent.
+  /// Stops the loop and disconnects. Idempotent.
   void Stop();
 
   // --- server::SnapshotSource (replica-role server integration) ---------
@@ -113,21 +112,24 @@ class ReplicaApplier : public server::SnapshotSource {
   uint64_t txns_applied() const {
     return txns_applied_.load(std::memory_order_relaxed);
   }
+  /// Redials of the primary (connections closed while streaming).
   uint64_t reconnects() const {
     return reconnects_.load(std::memory_order_relaxed);
   }
+  /// The primary answered the handshake and the subscription is queued.
   bool connected() const {
     return connected_.load(std::memory_order_relaxed);
   }
-  /// First fatal stream error (a corrupt batch, a broken local log), or
-  /// OK. Transient connection loss is not fatal — the applier retries.
+  /// First fatal stream error (a local durability or apply failure), or
+  /// OK. Connection loss and bad batches are not fatal: the loop redials.
   Status stream_status() const;
 
  private:
-  void ApplyLoop();
-  /// One connect + subscribe + drain session; returns when the connection
-  /// drops, a fatal error sticks, or Stop() is requested.
-  void RunSession();
+  // --- server::EventLoop::Handler (loop thread) ---------------------------
+  void OnDialed(size_t peer, server::Connection* conn) override;
+  /// The HelloAck, then per batch: append, make durable, apply, ack.
+  bool OnFrames(server::Connection* conn) override;
+  void OnClosed(server::Connection* conn) override;
   void WriteLock();
   void WriteUnlock();
 
@@ -141,7 +143,6 @@ class ReplicaApplier : public server::SnapshotSource {
   std::atomic<uint64_t> txns_applied_{0};
   std::atomic<uint64_t> reconnects_{0};
   std::atomic<bool> connected_{false};
-  std::atomic<bool> stop_{false};
 
   // Reader/writer gate: snapshot readers share; raw apply excludes.
   Mutex gate_mu_;
@@ -153,8 +154,9 @@ class ReplicaApplier : public server::SnapshotSource {
   mutable Mutex status_mu_;
   Status stream_status_ GUARDED_BY(status_mu_);
 
-  bool running_ = false;  // Start/Stop-caller-owned.
-  std::thread thread_;
+  server::LoopStats loop_stats_;
+  /// Null while stopped; Start/Stop-caller-owned.
+  std::unique_ptr<server::EventLoop> loop_;
 };
 
 }  // namespace repl

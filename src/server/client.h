@@ -46,8 +46,8 @@ class Client {
   Status Call(const Request& request, Response* response,
               int64_t deadline_ms = 5000);
 
-  /// Receives the next frame of any type, copying its body into `*body`.
-  /// The replication applier drains ReplBatch frames this way.
+  /// Receives the next frame of any type, copying its body into `*body`
+  /// (protocol tests read handshake and 2PC frames this way).
   Status RecvFrame(FrameType* type, std::vector<uint8_t>* body,
                    int64_t deadline_ms = 5000);
 

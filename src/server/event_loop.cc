@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstdlib>
 #include <cstring>
 
 #include "common/stats.h"
@@ -29,9 +30,33 @@ constexpr int kListenBacklog = 128;
 constexpr uint64_t kAcceptBackoffMinMs = 10;
 constexpr uint64_t kAcceptBackoffMaxMs = 200;
 
+constexpr uint64_t kRedialBackoffMinMs = 20;
+constexpr uint64_t kRedialBackoffMaxMs = 1000;
+/// A peer's partial frame that has not grown for this long is a stall.
+constexpr uint64_t kPeerStallMs = 5000;
+
 uint64_t MonotonicMs() { return NowNanos() / 1000000; }
 
+bool ToSockaddr(const std::string& host, uint16_t port, sockaddr_in* out) {
+  std::memset(out, 0, sizeof(*out));
+  out->sin_family = AF_INET;
+  out->sin_port = htons(port);
+  return ::inet_pton(AF_INET, host.c_str(), &out->sin_addr) == 1;
+}
+
+/// "host:port" with an IPv4 host.
+bool ParseHostPort(const std::string& addr, sockaddr_in* out) {
+  const size_t colon = addr.rfind(':');
+  if (colon == std::string::npos || colon + 1 >= addr.size()) return false;
+  char* end = nullptr;
+  const long port = std::strtol(addr.c_str() + colon + 1, &end, 10);
+  return *end == '\0' && port > 0 && port <= 65535 &&
+         ToSockaddr(addr.substr(0, colon), static_cast<uint16_t>(port), out);
+}
+
 }  // namespace
+
+void EventLoop::Handler::OnAccept(int fd) { ::close(fd); }
 
 Status EventLoop::Create(io::IoBackendKind kind, Handler* handler,
                          LoopStats* stats, std::unique_ptr<EventLoop>* out) {
@@ -57,10 +82,7 @@ Status EventLoop::Listen(const std::string& host, uint16_t port) {
   const int one = 1;
   ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
   sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
+  if (!ToSockaddr(host, port, &addr)) {
     return Status::InvalidArgument("bad listen address: " + host);
   }
   if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
@@ -77,6 +99,20 @@ Status EventLoop::Listen(const std::string& host, uint16_t port) {
   NEXT700_RETURN_IF_ERROR(io_->SubmitAccept(listen_fd_, kAcceptUd));
   accept_armed_ = true;
   return Status::OK();
+}
+
+Status EventLoop::Dial(const std::string& addr) {
+  Peer peer;
+  if (!ParseHostPort(addr, &peer.addr)) {
+    return Status::InvalidArgument("bad peer address: " + addr);
+  }
+  peers_.push_back(peer);  // redial_ms 0: dialed at the first timer pass.
+  return Status::OK();
+}
+
+void EventLoop::DropPeer(size_t index) {
+  peers_[index].dropped = true;
+  if (Connection* conn = Find(peers_[index].conn_id)) Close(conn);
 }
 
 void EventLoop::Start() {
@@ -135,13 +171,75 @@ int EventLoop::RunTimers() {
       accept_rearm_ms_ = now + kAcceptBackoffMaxMs;
     }
   }
+  // The owner's timers first: a deadline that closes a peer connection
+  // schedules a redial the peer pass must count.
   uint64_t next = handler_->RunTimers(now);
+  next = std::min(next, RunPeerTimers(now));
   if (listen_fd_ >= 0 && !accept_armed_) {
     next = std::min(next, accept_rearm_ms_);
   }
   if (next == UINT64_MAX) return -1;  // Nothing timed; block for an event.
   if (next <= now) return 0;
   return static_cast<int>(std::min<uint64_t>(next - now, 60 * 1000));
+}
+
+uint64_t EventLoop::RunPeerTimers(uint64_t now) {
+  uint64_t next = UINT64_MAX;
+  for (size_t i = 0; i < peers_.size(); ++i) {
+    Peer& peer = peers_[i];
+    if (peer.dropped) continue;
+    if (peer.conn_id == 0 && peer.redial_ms <= now) DialPeer(i, now);
+    // Stall rule: nothing buffered (idle, or between frames) runs no
+    // clock; bytes fed into a partial frame restart it.
+    Connection* conn = Find(peer.conn_id);
+    if (conn != nullptr && conn->decoder()->buffered_bytes() > 0) {
+      if (conn->decoder()->fed_bytes() != peer.fed_bytes) {
+        peer.fed_bytes = conn->decoder()->fed_bytes();
+        peer.progress_ms = now;
+      }
+      if (now - peer.progress_ms >= kPeerStallMs) {
+        Close(conn);  // Schedules the redial.
+      } else {
+        next = std::min(next, peer.progress_ms + kPeerStallMs);
+      }
+    }
+    if (peer.conn_id == 0 && !peer.dropped) {
+      next = std::min(next, peer.redial_ms);
+    }
+  }
+  return next;
+}
+
+void EventLoop::DialPeer(size_t index, uint64_t now) {
+  Peer& peer = peers_[index];
+  const int fd =
+      ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+  if (fd < 0 || (::connect(fd, reinterpret_cast<const sockaddr*>(&peer.addr),
+                           sizeof(peer.addr)) < 0 &&
+                 errno != EINPROGRESS)) {
+    if (fd >= 0) ::close(fd);
+    ScheduleRedial(&peer, now);
+    return;
+  }
+  Connection* conn = Register(fd);
+  peer.conn_id = conn->id();
+  peer.fed_bytes = 0;
+  handler_->OnDialed(index, conn);
+}
+
+void EventLoop::ScheduleRedial(Peer* peer, uint64_t now) {
+  peer->backoff_ms = peer->backoff_ms == 0
+                         ? kRedialBackoffMinMs
+                         : std::min(peer->backoff_ms * 2, kRedialBackoffMaxMs);
+  const uint64_t half = peer->backoff_ms / 2;
+  peer->redial_ms = now + half + rng_() % (half + 1);
+}
+
+EventLoop::Peer* EventLoop::PeerOf(uint64_t conn_id) {
+  for (Peer& peer : peers_) {
+    if (peer.conn_id == conn_id) return &peer;
+  }
+  return nullptr;
 }
 
 void EventLoop::HandleAccept(int32_t result) {
@@ -163,7 +261,7 @@ void EventLoop::HandleAccept(int32_t result) {
   accept_rearm_ms_ = MonotonicMs() + accept_backoff_ms_;
 }
 
-Connection* EventLoop::AddOutbound(int fd) {
+Connection* EventLoop::Register(int fd) {
   const int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   const uint64_t id = next_id_++;
@@ -174,7 +272,7 @@ Connection* EventLoop::AddOutbound(int fd) {
 }
 
 void EventLoop::Adopt(int fd, bool read_paused) {
-  Connection* conn = AddOutbound(fd);  // Registration, plus the first read.
+  Connection* conn = Register(fd);
   conn->set_read_paused(read_paused);
   StartRead(conn);
 }
@@ -197,8 +295,11 @@ void EventLoop::StartRead(Connection* conn) {
 void EventLoop::HandleRead(Connection* conn, int32_t result) {
   conn->set_read_inflight(false);
   if (result == 0) {
+    if (PeerOf(conn->id()) != nullptr) {
+      Close(conn);  // An outbound peer hung up: redial it.
+      return;
+    }
     // Peer half-closed: finish buffered work, flush replies, then close.
-    if (!handler_->OnPeerEof(conn)) return;
     conn->set_draining();
     if (handler_->OnFrames(conn)) MaybeCloseDrained(conn);
     return;
@@ -296,6 +397,10 @@ void EventLoop::Close(Connection* conn) {
   connections_.erase(it);
   io_->CancelFd(owned->fd());
   ::close(owned->fd());
+  if (Peer* peer = PeerOf(owned->id())) {
+    peer->conn_id = 0;
+    if (!peer->dropped) ScheduleRedial(peer, MonotonicMs());
+  }
   handler_->OnClosed(owned.get());
 }
 

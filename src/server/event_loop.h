@@ -2,10 +2,10 @@
 #define NEXT700_SERVER_EVENT_LOOP_H_
 
 /// \file
-/// The connection loop shared by the transaction server and the shard
-/// router: one thread driving one io::IoBackend over a table of framed
-/// Connections. The loop owns the mechanics; its owner supplies the
-/// protocol through Handler hooks.
+/// The connection loop shared by the transaction server, the shard router
+/// and the replica's applier: one thread driving one io::IoBackend over a
+/// table of framed Connections. The loop owns the mechanics; its owner
+/// supplies the protocol through Handler hooks.
 ///
 ///  - Accept policy: ECONNABORTED/EAGAIN/EINTR are ignored (the accept
 ///    stays armed). Any other failure (EMFILE, ENFILE, ENOMEM, ...) is
@@ -16,14 +16,21 @@
 ///    until an fd frees.
 ///  - Reads: one outstanding read per connection. A completion feeds the
 ///    decoder and calls OnFrames; EAGAIN/EINTR re-arm; any other error
-///    closes. EOF drains the connection: a draining connection closes once
-///    every admitted request is answered and written.
+///    closes. EOF drains an accepted connection (it closes once every
+///    admitted request is answered and written) and closes a peer's.
 ///  - Writes: connections marked dirty during a reap batch get one writev
 ///    each at batch end, gathering up to Connection::kMaxIov frames, so a
 ///    pipelined client at depth d costs ~1 write syscall per batch instead
 ///    of d; a short writev resumes from the first unsent byte. Any write
 ///    completion also arms a missing read, which is how an outbound
 ///    connection gets its first read once its connect has completed.
+///  - Outbound peers (Dial): the loop connects nonblocking and hands each
+///    fresh connection to OnDialed to queue its opening frames; a refused
+///    connect surfaces as their write error. Every close (a hang-up, a
+///    failed connect) schedules a redial after a jittered doubling backoff
+///    (20 -> 1000 ms) carried by the reap timeout. Stall rule: a peer whose
+///    decoder holds a partial frame that has not grown for 5 s is closed;
+///    the timers sample it, so no read reads a clock.
 ///  - Close: CancelFd before close(2): the fd number may be reused by the
 ///    next accept, and the read buffer dies with the connection.
 ///  - user_data: the accept carries 1; reads and writes carry
@@ -34,9 +41,12 @@
 /// belongs to the loop thread; before Start() and after Stop() the owner
 /// thread may call anything.
 
+#include <netinet/in.h>
+
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <random>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -71,21 +81,21 @@ class EventLoop {
    public:
     virtual ~Handler() = default;
     /// The listener accepted `fd` (nonblocking, close-on-exec). Adopt it
-    /// here or hand it to another loop.
-    virtual void OnAccept(int fd) = 0;
+    /// here or hand it to another loop; the default closes it.
+    virtual void OnAccept(int fd);
     /// New bytes were fed into conn's decoder. Returns false if it closed
     /// `conn` (the loop then arms no read).
     virtual bool OnFrames(Connection* conn) = 0;
-    /// The peer closed its side of the stream. Returns true to drain it
-    /// (answer what is buffered and admitted, then close), false if the
-    /// hook closed `conn` itself.
-    virtual bool OnPeerEof(Connection*) { return true; }
     /// conn's outbound queue fully drained. Returns false if it closed
     /// `conn`.
     virtual bool OnWriteDrained(Connection*) { return true; }
     /// `conn` has left the table and its fd is closed; it is freed when
     /// the hook returns.
     virtual void OnClosed(Connection*) {}
+    /// A fresh connection to outbound peer `peer`, connect possibly in
+    /// progress. Queue its opening frames and MarkDirty it: their write
+    /// completion arms its first read.
+    virtual void OnDialed(size_t /*peer*/, Connection* /*conn*/) {}
     /// Another thread called Wakeup().
     virtual void OnWakeup() {}
     /// Runs the owner's timers due at `now_ms` (monotonic) and returns its
@@ -109,6 +119,15 @@ class EventLoop {
   /// Port actually bound (after Listen).
   uint16_t port() const { return port_; }
 
+  /// Adds outbound peer `addr` ("host:port", IPv4; peers are numbered 0,
+  /// 1, ... in call order), dialed from the loop's timers until DropPeer.
+  /// kInvalidArgument for a bad address. Call before Start().
+  Status Dial(const std::string& addr);
+  /// The owner's handshake with `peer` completed: reset its backoff.
+  void PeerUp(size_t peer) { peers_[peer].backoff_ms = 0; }
+  /// Closes `peer`'s connection, if any, and never redials it.
+  void DropPeer(size_t peer);
+
   /// Starts the loop thread.
   void Start();
   /// Stops and joins the loop thread; connections stay open until the loop
@@ -122,10 +141,6 @@ class EventLoop {
   /// Registers an accepted socket and arms its first read (unless
   /// `read_paused`). The connection may already be closed on return.
   void Adopt(int fd, bool read_paused = false);
-  /// Registers a dialled socket (connect possibly still in progress). No
-  /// read is armed until its first write completes: queue the opening
-  /// frames and MarkDirty it.
-  Connection* AddOutbound(int fd);
 
   /// Null once the connection has closed.
   Connection* Find(uint64_t id) const {
@@ -150,13 +165,33 @@ class EventLoop {
   void Close(Connection* conn);
 
  private:
+  struct Peer {
+    sockaddr_in addr;
+    uint64_t conn_id = 0;  // 0 while down.
+    bool dropped = false;
+    uint64_t redial_ms = 0;  // While down.
+    uint64_t backoff_ms = 0;
+    /// Stall rule: fed bytes at the last sample, and when they moved.
+    uint64_t fed_bytes = 0;
+    uint64_t progress_ms = 0;
+  };
+
   EventLoop(Handler* handler, LoopStats* stats)
       : handler_(handler), stats_(stats) {}
 
   void Run();
-  /// Re-arms a backed-off accept when due, runs the owner's timers, and
-  /// returns the reap timeout that wakes the loop for the next deadline.
+  /// Re-arms a backed-off accept when due, runs the owner's and the peers'
+  /// timers, and returns the reap timeout for the next deadline.
   int RunTimers();
+  /// Dials due peers and closes stalled ones; returns the next peer
+  /// deadline (UINT64_MAX for none).
+  uint64_t RunPeerTimers(uint64_t now_ms);
+  void DialPeer(size_t index, uint64_t now_ms);
+  void ScheduleRedial(Peer* peer, uint64_t now_ms);
+  /// Null for an accepted connection.
+  Peer* PeerOf(uint64_t conn_id);
+  /// Adds `fd` to the connection table; arms no read.
+  Connection* Register(int fd);
   void HandleAccept(int32_t result);
   void HandleRead(Connection* conn, int32_t result);
   void HandleWrite(Connection* conn, int32_t result);
@@ -183,6 +218,11 @@ class EventLoop {
   bool accept_armed_ = false;
   uint64_t accept_rearm_ms_ = 0;
   uint64_t accept_backoff_ms_ = 0;
+
+  std::vector<Peer> peers_;
+  /// Redial jitter: loops that lost a shard together do not redial it in
+  /// lockstep.
+  std::minstd_rand rng_{std::random_device{}()};
 };
 
 }  // namespace server

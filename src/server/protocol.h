@@ -196,12 +196,6 @@ class WireWriter {
     StoreLE64(v, b);
     PutRaw(b, sizeof(b));
   }
-  /// IEEE-754 bits, little-endian like every other integer.
-  void PutDouble(double v) {
-    uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    PutU64(bits);
-  }
   /// Length-prefixed byte string.
   void PutBytes(const void* data, size_t len) {
     PutU32(static_cast<uint32_t>(len));
@@ -241,12 +235,6 @@ class WireReader {
     uint8_t b[8];
     if (!GetRaw(b, sizeof(b))) return false;
     *v = LoadLE64(b);
-    return true;
-  }
-  bool GetDouble(double* v) {
-    uint64_t bits;
-    if (!GetU64(&bits)) return false;
-    std::memcpy(v, &bits, sizeof(*v));
     return true;
   }
   /// Reads a length-prefixed byte string appended by PutBytes/PutString.
@@ -437,6 +425,7 @@ class FrameDecoder {
  public:
   void Feed(const uint8_t* data, size_t len) {
     buffer_.insert(buffer_.end(), data, data + len);
+    fed_bytes_ += len;
   }
 
   /// Extracts the next complete frame. Returns OK with *have_frame=true
@@ -447,10 +436,13 @@ class FrameDecoder {
 
   /// Bytes buffered but not yet consumed (tests; idle-connection audits).
   size_t buffered_bytes() const { return buffer_.size() - consumed_; }
+  /// Bytes ever fed: a stalled partial frame leaves this unchanged.
+  uint64_t fed_bytes() const { return fed_bytes_; }
 
  private:
   std::vector<uint8_t> buffer_;
   size_t consumed_ = 0;
+  uint64_t fed_bytes_ = 0;
 };
 
 /// True if `code` is a StatusCode a conforming peer may send on the wire.

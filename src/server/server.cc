@@ -223,7 +223,7 @@ bool Server::HandleReplAck(Connection* conn, const Frame& frame) {
         engine_->log_manager(), ack.durable_lsn));
     replica_count_.fetch_add(1, std::memory_order_release);
   } else {
-    conn->shipper()->RecordAck(ack.durable_lsn, ack.applied_lsn);
+    conn->shipper()->RecordAck(ack.durable_lsn);
   }
   if (options_.repl_ack == ReplAckMode::kSemisync) {
     RecomputeSemisyncWatermark();

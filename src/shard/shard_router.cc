@@ -1,21 +1,17 @@
 #include "shard/shard_router.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <deque>
 #include <thread>
 #include <unordered_map>
 
 #include "common/macros.h"
+#include "common/stats.h"
 #include "log/recovery.h"
 #include "server/procs.h"
 
@@ -27,10 +23,6 @@ using server::PeerRole;
 
 namespace {
 
-/// Shard-link reconnect backoff (jittered doubling).
-constexpr uint64_t kLinkBackoffMinMs = 20;
-constexpr uint64_t kLinkBackoffMaxMs = 1000;
-
 /// Wall-clock nanoseconds — deliberately not the monotonic clock: gtids
 /// must stay unique across router restarts, and the monotonic epoch resets
 /// at boot.
@@ -41,12 +33,7 @@ uint64_t WallNanos() {
           .count());
 }
 
-uint64_t MonotonicMs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
+uint64_t MonotonicMs() { return NowNanos() / 1000000; }
 
 /// Re-frames a (type, body) pair exactly as the sender framed it — header
 /// plus body is byte-identical to the original frame, which is what lets
@@ -58,26 +45,6 @@ void AppendFrame(FrameType type, const uint8_t* body, size_t body_len,
   header[4] = static_cast<uint8_t>(type);
   out->insert(out->end(), header, header + sizeof(header));
   out->insert(out->end(), body, body + body_len);
-}
-
-bool ParseHostPort(const std::string& addr, std::string* host,
-                   uint16_t* port) {
-  const size_t colon = addr.rfind(':');
-  if (colon == std::string::npos || colon + 1 >= addr.size()) return false;
-  *host = addr.substr(0, colon);
-  const long p = std::strtol(addr.c_str() + colon + 1, nullptr, 10);
-  if (p <= 0 || p > 65535) return false;
-  *port = static_cast<uint16_t>(p);
-  return true;
-}
-
-uint64_t XorShift64(uint64_t* state) {
-  uint64_t x = *state;
-  x ^= x << 13;
-  x ^= x >> 7;
-  x ^= x << 17;
-  *state = x;
-  return x;
 }
 
 /// What the next reply frame on a shard link, after the handshake, answers.
@@ -130,15 +97,16 @@ struct ShardRouter::CrossShardResult {
   std::vector<uint8_t> encoded;
 };
 
-/// One connection from an event loop to a shard server. The owning loop
-/// is the only thread that touches it; the state machine runs off
-/// read/write completions. A link accepts forwards and prepares only in
-/// kUp (after handshake + in-doubt resolution); a forward staged while it
-/// is down answers kUnavailable immediately, which keeps the reply stream
-/// strictly pairable against the expectation deque.
+/// One connection from an event loop to a shard server: the loop's
+/// outbound peer whose index is the shard id, so the loop dials and
+/// redials it. The owning loop is the only thread that touches it; the
+/// state machine runs off read/write completions. A link accepts forwards
+/// and prepares only in kUp (after handshake + in-doubt resolution); a
+/// forward staged while it is down answers kUnavailable immediately, which
+/// keeps the reply stream strictly pairable against the expectation deque.
 struct ShardRouter::ShardLink {
   enum class State : uint8_t {
-    kDown,     // No connection; retry at retry_deadline_ms.
+    kDown,     // No connection; the loop redials it.
     kHello,    // Connect + Hello + InDoubtQuery sent; awaiting HelloAck.
     kResolve,  // Awaiting the in-doubt list, then its decision acks.
     kUp,       // Forwarding.
@@ -147,15 +115,12 @@ struct ShardRouter::ShardLink {
   uint32_t shard_id = 0;
   State state = State::kDown;
   /// The framed transport, owned by the loop's connection table; null
-  /// while kDown. A fresh Connection (and a fresh id) per connect attempt
-  /// keeps stale completions from a dead socket unroutable.
+  /// while kDown. A fresh Connection (and a fresh id) per dial keeps stale
+  /// completions from a dead socket unroutable.
   server::Connection* conn = nullptr;
   std::deque<Expectation> expect;
   /// Sweep acks still owed; -1 until the in-doubt list arrives.
   int resolve_pending = -1;
-  uint64_t retry_deadline_ms = 0;
-  uint64_t backoff_ms = 0;
-  uint64_t rng = 0x9e3779b97f4a7c15ull;
 
   /// Queues one frame whose reply `e` describes; everything queued within
   /// one reap batch rides the same gather write.
@@ -230,10 +195,18 @@ struct ShardRouter::RouterLoop : server::EventLoop::Handler {
     }
     return router->DrainSessionFrames(this, conn);
   }
-  bool OnPeerEof(server::Connection* conn) override {
-    if (LinkOf(conn) == nullptr) return true;  // A session drains.
-    net->Close(conn);  // The shard hung up.
-    return false;
+  /// A link's fresh connection: the Hello + in-doubt query go out once
+  /// the connect completes.
+  void OnDialed(size_t shard_id, server::Connection* conn) override {
+    links[shard_id]->conn = conn;
+    links[shard_id]->state = ShardLink::State::kHello;
+    std::vector<uint8_t> bytes;
+    server::Hello hello;
+    hello.role = PeerRole::kCoordinator;
+    server::EncodeHello(hello, &bytes);
+    server::EncodeInDoubtQuery(&bytes);
+    conn->EnqueueRaw(bytes.data(), bytes.size());
+    net->MarkDirty(conn);
   }
   void OnClosed(server::Connection* conn) override {
     if (ShardLink* link = LinkOf(conn)) {
@@ -247,9 +220,11 @@ struct ShardRouter::RouterLoop : server::EventLoop::Handler {
   /// Adopts handed-over sessions, slots in finished 2PC replies and, on
   /// loop 0, takes over 2PC jobs and decisions the log made durable.
   void OnWakeup() override;
-  /// 2PC deadlines (loop 0), then redials every down link whose backoff
-  /// expired; returns the earliest remaining deadline.
-  uint64_t RunTimers(uint64_t now_ms) override;
+  /// 2PC deadlines (loop 0); returns the earliest remaining one.
+  uint64_t RunTimers(uint64_t now_ms) override {
+    return index == 0 ? router->RunCrossShardTimers(this, now_ms)
+                      : UINT64_MAX;
+  }
 };
 
 ShardRouter::ShardRouter(ShardRouterOptions options)
@@ -281,16 +256,6 @@ Status ShardRouter::Start() {
   decision_log_ = std::make_unique<LogManager>(log_options);
   NEXT700_RETURN_IF_ERROR(decision_log_->Open());
 
-  for (size_t i = 0; i < options_.shards.size(); ++i) {
-    std::string host;
-    uint16_t shard_port = 0;
-    if (!ParseHostPort(options_.shards[i], &host, &shard_port)) {
-      return Status::InvalidArgument("bad shard address: " +
-                                     options_.shards[i]);
-    }
-    shard_addrs_.emplace_back(std::move(host), shard_port);
-  }
-
   // Event loops (and their backends) before the listen socket so a
   // backend-creation failure (kUring on an old kernel) leaks nothing.
   const uint32_t nloops =
@@ -304,9 +269,10 @@ Status ShardRouter::Start() {
     NEXT700_RETURN_IF_ERROR(server::EventLoop::Create(
         options_.io_backend, loop.get(), &stats_, &loop->net));
     for (uint32_t s = 0; s < num_shards(); ++s) {
+      // Dialed in shard order: the peer index is the shard id.
+      NEXT700_RETURN_IF_ERROR(loop->net->Dial(options_.shards[s]));
       auto link = std::make_unique<ShardLink>();
       link->shard_id = s;
-      link->rng ^= i * 2654435761ull + s + 1;
       loop->links.push_back(std::move(link));
     }
     loops_.push_back(std::move(loop));
@@ -402,23 +368,6 @@ uint64_t ShardRouter::io_syscalls() const {
 }
 
 // --- Event loop hooks ---------------------------------------------------
-
-uint64_t ShardRouter::RouterLoop::RunTimers(uint64_t now_ms) {
-  // 2PC first: a vote timeout tears links down, and their redial deadlines
-  // must count below.
-  uint64_t next =
-      index == 0 ? router->RunCrossShardTimers(this, now_ms) : UINT64_MAX;
-  for (auto& link : links) {
-    if (link->state != ShardLink::State::kDown) continue;
-    if (link->retry_deadline_ms <= now_ms) {
-      router->StartConnectLink(this, link.get());
-    }
-    if (link->state == ShardLink::State::kDown) {
-      next = std::min(next, link->retry_deadline_ms);
-    }
-  }
-  return next;
-}
 
 void ShardRouter::RouterLoop::OnWakeup() {
   std::vector<int> fds;
@@ -591,36 +540,6 @@ void ShardRouter::StageForward(RouterLoop* loop, server::Connection* conn,
 
 // --- Shard links ---------------------------------------------------------
 
-void ShardRouter::StartConnectLink(RouterLoop* loop, ShardLink* link) {
-  const auto& [host, shard_port] = shard_addrs_[link->shard_id];
-  sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(shard_port);
-  const int fd =
-      ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-  if (fd < 0 || ::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1 ||
-      (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0 &&
-       errno != EINPROGRESS)) {
-    if (fd >= 0) ::close(fd);
-    TeardownLink(loop, link);  // Schedules the retry.
-    return;
-  }
-  link->conn = loop->net->AddOutbound(fd);
-  link->state = ShardLink::State::kHello;
-  // Queue the handshake + in-doubt query now; the backend parks the writev
-  // until the (possibly still in-progress) connect makes the socket
-  // writable, and a failed connect surfaces as the write error. The read
-  // is armed off the first write completion.
-  std::vector<uint8_t> bytes;
-  server::Hello hello;
-  hello.role = PeerRole::kCoordinator;
-  server::EncodeHello(hello, &bytes);
-  server::EncodeInDoubtQuery(&bytes);
-  link->conn->EnqueueRaw(bytes.data(), bytes.size());
-  loop->net->MarkDirty(link->conn);
-}
-
 bool ShardRouter::DrainLinkFrames(RouterLoop* loop, ShardLink* link) {
   for (;;) {
     server::Frame frame;
@@ -667,7 +586,7 @@ bool ShardRouter::HandleLinkFrame(RouterLoop* loop, ShardLink* link,
       link->Send(loop->net.get(), enc, Expectation{Kind::kAck, true, gtid});
       ++link->resolve_pending;
     }
-    if (link->resolve_pending == 0) LinkUp(link);
+    if (link->resolve_pending == 0) LinkUp(loop, link);
     return true;
   }
   // Everything else pairs with the expectation deque. Check before
@@ -709,7 +628,7 @@ bool ShardRouter::HandleLinkFrame(RouterLoop* loop, ShardLink* link,
       OnDecisionAck(loop, link->shard_id, e.gtid, /*acked=*/true);
       if (e.sweep) {
         stats_.resolved_in_doubt.fetch_add(1, std::memory_order_relaxed);
-        if (--link->resolve_pending == 0) LinkUp(link);
+        if (--link->resolve_pending == 0) LinkUp(loop, link);
       }
       return true;
     }
@@ -736,9 +655,9 @@ bool ShardRouter::ClassifyInDoubt(const RouterLoop* loop, uint64_t gtid,
   return it == loop->txns.end() || it->second.fail_code != StatusCode::kOk;
 }
 
-void ShardRouter::LinkUp(ShardLink* link) {
+void ShardRouter::LinkUp(RouterLoop* loop, ShardLink* link) {
   link->state = ShardLink::State::kUp;
-  link->backoff_ms = 0;
+  loop->net->PeerUp(link->shard_id);
   {
     MutexLock lock(&shards_mu_);
     ++links_up_;
@@ -756,12 +675,6 @@ void ShardRouter::TeardownLink(RouterLoop* loop, ShardLink* link) {
   orphans.swap(link->expect);
   link->resolve_pending = -1;
   link->state = ShardLink::State::kDown;
-  link->backoff_ms = link->backoff_ms == 0
-                         ? kLinkBackoffMinMs
-                         : std::min(link->backoff_ms * 2, kLinkBackoffMaxMs);
-  const uint64_t half = link->backoff_ms / 2;
-  link->retry_deadline_ms =
-      MonotonicMs() + half + XorShift64(&link->rng) % (half + 1);
   for (const Expectation& e : orphans) {
     switch (e.kind) {
       case Kind::kForward:

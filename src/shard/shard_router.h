@@ -24,7 +24,8 @@
 /// plus one link per shard. Forwards staged in one read burst share one
 /// gather write per link, replies pair with the link's FIFO expectation
 /// deque, and a session's ticket reorder buffer keeps replies in order.
-/// Links redial with jittered backoff off the loop's reap timeout.
+/// Links are their loop's outbound peers (event_loop.h): dialed, redialed
+/// with jittered backoff, and closed when a reply stalls mid-frame.
 ///
 /// Cross-shard 2PC is a per-gtid state machine on loop 0 over loop 0's
 /// links, so votes and acks pair with the same deque; other loops hand jobs
@@ -161,7 +162,6 @@ class ShardRouter {
                     const server::Frame& frame, uint64_t request_id);
 
   // --- Shard links (per loop, event-driven) -------------------------------
-  void StartConnectLink(RouterLoop* loop, ShardLink* link);
   /// Returns false when the link was torn down mid-drain.
   bool DrainLinkFrames(RouterLoop* loop, ShardLink* link);
   /// Returns false when the frame breaks the link's protocol.
@@ -171,9 +171,9 @@ class ShardRouter {
   /// leave it alone (loop 0 owns it and may still commit it).
   bool ClassifyInDoubt(const RouterLoop* loop, uint64_t gtid,
                        bool* commit) const;
-  void LinkUp(ShardLink* link);
-  /// The link's connection is gone (or never came up): fails what it owes
-  /// (forwards answer kUnavailable) and schedules a jittered redial.
+  void LinkUp(RouterLoop* loop, ShardLink* link);
+  /// The link's connection is gone: fails what it owes (forwards answer
+  /// kUnavailable); the loop redials it.
   void TeardownLink(RouterLoop* loop, ShardLink* link);
 
   // --- Cross-shard 2PC (loop 0 only) -------------------------------------
@@ -204,9 +204,6 @@ class ShardRouter {
   std::atomic<bool> stop_{false};
   bool running_ = false;
   uint16_t port_ = 0;
-
-  /// Parsed options_.shards.
-  std::vector<std::pair<std::string, uint16_t>> shard_addrs_;
 
   std::unique_ptr<LogManager> decision_log_;
   /// Earlier incarnations' commits (the log scan); immutable after Start().

@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <condition_variable>
+#include <cstring>
 #include <fstream>
+#include <functional>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -34,6 +38,51 @@ std::string TempCkptDir(const char* tag) {
 bool FileExists(const std::string& path) {
   return std::ifstream(path).good();
 }
+
+/// Parks every log write while closed, so a test can hold the flusher
+/// inside one write and let appends pile up behind it.
+struct WriteGate {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool open = true;
+  bool parked = false;
+
+  void Close() {
+    std::lock_guard<std::mutex> lock(mu);
+    open = false;
+  }
+  void Open() {
+    std::lock_guard<std::mutex> lock(mu);
+    open = true;
+    cv.notify_all();
+  }
+  void WaitParked() {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [this] { return parked; });
+  }
+  void Pass() {
+    std::unique_lock<std::mutex> lock(mu);
+    if (open) return;
+    parked = true;
+    cv.notify_all();
+    cv.wait(lock, [this] { return open; });
+    parked = false;
+  }
+};
+
+class GatedLogFile : public PosixLogFile {
+ public:
+  explicit GatedLogFile(WriteGate* gate) : gate_(gate) {}
+
+ protected:
+  ssize_t RawWrite(const uint8_t* data, size_t len) override {
+    gate_->Pass();
+    return PosixLogFile::RawWrite(data, len);
+  }
+
+ private:
+  WriteGate* gate_;
+};
 
 class CheckpointTest : public ::testing::Test {
  protected:
@@ -125,6 +174,17 @@ class CheckpointTest : public ::testing::Test {
     options.log_segment_bytes = 8192;  // Rotate often: truncation needs prey.
     options.checkpoint_dir = ckpt_dir;
     return options;
+  }
+
+  /// Runs single transactions until the log has appended `lsn`.
+  static void RunUntilAppended(Setup& setup, Lsn lsn) {
+    static uint64_t seed = 1;
+    DriverOptions driver;
+    driver.txns_per_thread = 1;
+    while (setup.engine->log_manager()->appended_lsn() < lsn) {
+      driver.seed = ++seed;
+      (void)Driver::Run(setup.engine.get(), setup.workload.get(), driver);
+    }
   }
 
   static void WaitAllDurable(Setup& setup) {
@@ -374,6 +434,77 @@ TEST_F(CheckpointTest, ReopenAfterTruncationResumesLsnSpace) {
                   .ok());
   EXPECT_TRUE(outcome.used_checkpoint);
   EXPECT_EQ(Total(target), total_second);
+}
+
+TEST_F(CheckpointTest, BaseSealedBelowStartLsnMidCheckpointStaysOnDisk) {
+  // The snapshot reads start_lsn and the MANIFEST names the live segment 0
+  // as base while bytes below start_lsn still wait for the flusher. Before
+  // the retire, the flusher's next batch overflows segment 0, sealing it
+  // with end_lsn <= start_lsn. The retire must keep the MANIFEST's base,
+  // or recovery counts LSNs from the wrong segment and drops every record
+  // committed after the checkpoint.
+  const std::string log_dir = TempLogDir("sealed_base");
+  const std::string ckpt_dir = TempCkptDir("sealed_base");
+  WriteGate gate;
+  std::function<void()> before_retire;
+  EngineOptions options = OnlineOptions(CcScheme::kNoWait,
+                                        LoggingKind::kValue, log_dir,
+                                        ckpt_dir);
+  options.log_segment_bytes = 4096;
+  options.sync_commit = false;
+  options.log_file_factory = [&gate] {
+    return std::make_unique<GatedLogFile>(&gate);
+  };
+  options.checkpoint_crash_hook = [&before_retire](const char* point) {
+    if (before_retire && std::strcmp(point, "checkpoint:before-retire") == 0) {
+      before_retire();
+    }
+  };
+  CheckpointManifest manifest;
+  int64_t total = 0;
+  {
+    Setup source = MakeWith(options);
+    LogManager* log = source.engine->log_manager();
+    RunUntilAppended(source, 3000);
+    WaitAllDurable(source);
+    // Park the flusher inside its next write, then pile up ~2000 B behind
+    // it: segment 0 cannot take them.
+    gate.Close();
+    RunUntilAppended(source, log->appended_lsn() + 1);
+    gate.WaitParked();
+    RunUntilAppended(source, log->appended_lsn() + 2000);
+    before_retire = [&] {
+      // Off this thread: the checkpoint holds its run lock here.
+      std::thread commits([&] {
+        gate.Open();
+        RunUntilAppended(source, log->appended_lsn() + 500);
+        WaitAllDurable(source);
+      });
+      commits.join();
+    };
+    ASSERT_TRUE(source.engine->TriggerCheckpoint(nullptr).ok());
+    before_retire = nullptr;
+    ASSERT_TRUE(ReadManifest(ckpt_dir, &manifest).ok());
+    EXPECT_EQ(manifest.log_base_index, 0u);
+    const std::vector<SealedSegment> sealed = log->sealed_segments();
+    ASSERT_FALSE(sealed.empty());
+    EXPECT_EQ(sealed.front().index, 0u);
+    EXPECT_LE(sealed.front().end_lsn, manifest.start_lsn);
+    total = Total(source);
+    WaitAllDurable(source);
+  }
+  std::vector<LogSegment> segments;
+  ASSERT_TRUE(ListLogSegments(log_dir, &segments).ok());
+  ASSERT_FALSE(segments.empty());
+  EXPECT_EQ(segments.front().index, manifest.log_base_index);
+
+  Setup target = MakeEmpty();
+  RecoverOutcome outcome;
+  ASSERT_TRUE(RecoverEngine(target.engine.get(), ckpt_dir, log_dir,
+                            /*rebuilder=*/nullptr, &outcome)
+                  .ok());
+  EXPECT_TRUE(outcome.used_checkpoint);
+  EXPECT_EQ(Total(target), total);
 }
 
 TEST_F(CheckpointTest, PrepareSweepsTornTmpAndOrphanCheckpoints) {

@@ -300,6 +300,48 @@ TEST(LogManagerTest, OpenDeletesStaleSegmentsBelowBase) {
   EXPECT_EQ(on_disk.front().index, base.index);
 }
 
+TEST(LogManagerTest, BaseSealedBelowStartLsnSurvivesRetireByBase) {
+  // A checkpoint's interleaving: start_lsn and the base are read while the
+  // flusher is still writing an earlier batch, so the base is the live
+  // segment 0. The flusher's next batch does not fit in it and seals it
+  // with end_lsn <= start_lsn.
+  LogManagerOptions options;
+  options.dir = TempLogDir("sealed_base");
+  options.segment_bytes = 4096;
+  options.device_latency_us = 300000;
+  SealedSegment base;
+  {
+    LogManager log(options);
+    ASSERT_TRUE(log.Open().ok());
+    log.Append(LogRecordType::kTxnValue, std::vector<uint8_t>(3000, 1));
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    log.Append(LogRecordType::kTxnValue, std::vector<uint8_t>(2000, 2));
+    const Lsn start_lsn = log.appended_lsn();
+    base = log.BaseAfterRetire(start_lsn);
+    const Lsn last =
+        log.Append(LogRecordType::kTxnValue, std::vector<uint8_t>(500, 3));
+    ASSERT_TRUE(log.WaitDurable(last).ok());
+    EXPECT_EQ(base.index, 0u);
+    EXPECT_EQ(base.start_lsn, 0u);
+    ASSERT_FALSE(log.sealed_segments().empty());
+    EXPECT_LE(log.sealed_segments().front().end_lsn, start_lsn);
+    // Retiring below the recorded base keeps it...
+    ASSERT_TRUE(log.RetireSegmentsBelow(base.start_lsn, nullptr).ok());
+    EXPECT_EQ(log.sealed_segments().front().index, 0u);
+    // ...retiring below start_lsn unlinks the segment the base names.
+    ASSERT_TRUE(log.RetireSegmentsBelow(start_lsn, nullptr).ok());
+    log.Close();
+  }
+  // Reopening over the broken chain fails loudly instead of counting LSNs
+  // from segment 1 as if it began at the base.
+  LogManagerOptions reopened = options;
+  reopened.device_latency_us = 0;
+  reopened.base_index = base.index;
+  reopened.base_lsn = base.start_lsn;
+  LogManager log(reopened);
+  EXPECT_EQ(log.Open().code(), StatusCode::kCorruption);
+}
+
 TEST(LogManagerTest, ReopenResumesLsnSpaceAfterHistory) {
   LogManagerOptions options;
   options.dir = TempLogDir("reopen");
@@ -1011,6 +1053,36 @@ TEST_F(RecoveryTest, AsyncCommitTradesDurabilityWindow) {
 /// reconstruct every row whose latest image lies at or above the cut —
 /// the path a checkpoint-bootstrapped recovery or promoted replica takes
 /// while the primary's directory is still open.
+TEST_F(RecoveryTest, ReplayRejectsABrokenSegmentChain) {
+  const std::string dir = TempLogDir("broken_chain");
+  {
+    Table* table;
+    Index* index;
+    EngineOptions options = BaseOptions(LoggingKind::kValue, dir);
+    options.log_segment_bytes = 256;
+    auto engine = MakeEngine(options, &table, &index);
+    for (uint64_t key = 0; key < 20; ++key) {
+      uint64_t args[2] = {key, 1};
+      ASSERT_TRUE(engine->RunProcedure(1, 0, args, sizeof(args)).ok());
+    }
+  }
+  std::vector<LogSegment> segments;
+  ASSERT_TRUE(ListLogSegments(dir, &segments).ok());
+  ASSERT_GE(segments.size(), 3u);
+  Table* table;
+  Index* index;
+  auto recovered =
+      MakeEngine(BaseOptions(LoggingKind::kNone, ""), &table, &index);
+  RecoveryManager recovery(recovered.get());
+  RecoveryStats stats;
+  // An index gap in the middle...
+  ASSERT_EQ(::unlink(segments[1].path.c_str()), 0);
+  EXPECT_EQ(recovery.Replay(dir, &stats).code(), StatusCode::kCorruption);
+  // ...and a chain that no longer starts at its base.
+  ASSERT_EQ(::unlink(segments[0].path.c_str()), 0);
+  EXPECT_EQ(recovery.Replay(dir, &stats).code(), StatusCode::kCorruption);
+}
+
 TEST_F(RecoveryTest, ReplayResumesAcrossRetireBoundaryOnLiveDirectory) {
   const std::string dir = TempLogDir("retire_replay");
   Table* table;

@@ -2,12 +2,20 @@
 /// a real ReplicaApplier over real sockets, covering backlog catch-up,
 /// live tailing, snapshot reads with the min_read_lsn staleness contract,
 /// the applied-never-exceeds-primary-durable invariant, semisync ack
-/// gating (with degradation when the last replica leaves), and failover
-/// promotion of the replica's log into a writable engine.
+/// gating (with degradation when the last replica leaves), failover
+/// promotion of the replica's log into a writable engine, and the
+/// applier's upstream: redial until a primary listens, the mid-frame stall
+/// rule, and a prompt Stop().
 
 #include "repl/replica_applier.h"
 
 #include <gtest/gtest.h>
+
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <cstring>
@@ -105,7 +113,7 @@ struct PrimaryNode {
 };
 
 PrimaryNode StartPrimary(const std::string& tag,
-                         server::ReplAckMode ack_mode) {
+                         server::ReplAckMode ack_mode, uint16_t port = 0) {
   PrimaryNode node;
   node.engine = std::make_unique<Engine>(NodeEngineOptions(TempLogDir(tag)));
   KvServiceOptions kv;
@@ -113,6 +121,7 @@ PrimaryNode StartPrimary(const std::string& tag,
   kv.value_size = kValueSize;
   RegisterKvService(node.engine.get(), kv);
   ServerOptions srv;
+  srv.port = port;
   srv.num_workers = 2;
   srv.io_backend = g_io_backend;
   srv.repl_ack = ack_mode;
@@ -144,9 +153,7 @@ ReplicaNode StartReplica(const std::string& tag, uint16_t primary_port) {
   kv.value_size = kValueSize;
   RegisterKvService(node.engine.get(), kv);
   ReplicaApplierOptions opts;
-  opts.primary_port = primary_port;
-  opts.reconnect_backoff_ms = 10;
-  opts.recv_deadline_ms = 50;
+  opts.primary = "127.0.0.1:" + std::to_string(primary_port);
   node.applier = std::make_unique<ReplicaApplier>(node.engine.get(), opts);
   EXPECT_TRUE(node.applier->Start().ok());
   ServerOptions srv;
@@ -402,6 +409,108 @@ TEST_P(ReplTest, SemisyncDegradesWhenLastReplicaLeaves) {
   ASSERT_TRUE(client.Call(RmwRequest(3, 2), &response).ok());
   ASSERT_EQ(response.status, StatusCode::kOk);
 
+  primary.server->Stop();
+}
+
+/// A loopback listener bound to an ephemeral port, or to `port`.
+int ListenOn(uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  NEXT700_CHECK(fd >= 0);
+  const int one = 1;
+  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  NEXT700_CHECK(::bind(fd, reinterpret_cast<sockaddr*>(&addr),
+                       sizeof(addr)) == 0);
+  NEXT700_CHECK(::listen(fd, 8) == 0);
+  return fd;
+}
+
+uint16_t BoundPort(int fd) {
+  sockaddr_in addr{};
+  socklen_t len = sizeof(addr);
+  NEXT700_CHECK(::getsockname(fd, reinterpret_cast<sockaddr*>(&addr),
+                              &len) == 0);
+  return ntohs(addr.sin_port);
+}
+
+/// Accepts one connection within `timeout_ms`; -1 if none arrives.
+int AcceptWithin(int listen_fd, int timeout_ms) {
+  pollfd pfd{listen_fd, POLLIN, 0};
+  if (::poll(&pfd, 1, timeout_ms) != 1) return -1;
+  return ::accept4(listen_fd, nullptr, nullptr, SOCK_CLOEXEC);
+}
+
+void WriteAll(int fd, const std::vector<uint8_t>& bytes, size_t len) {
+  NEXT700_CHECK(::send(fd, bytes.data(), len, MSG_NOSIGNAL) ==
+                static_cast<ssize_t>(len));
+}
+
+TEST_P(ReplTest, ApplierSubscribesOnceThePrimaryStartsListening) {
+  // Learn a free port, then release it: the applier first dials nothing.
+  const int probe = ListenOn(0);
+  const uint16_t port = BoundPort(probe);
+  ::close(probe);
+  ReplicaNode replica = StartReplica("late_r", port);
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  EXPECT_FALSE(replica.applier->connected());
+
+  PrimaryNode primary =
+      StartPrimary("late_p", server::ReplAckMode::kAsync, port);
+  ASSERT_EQ(primary.server->port(), port);
+  EXPECT_TRUE(WaitUntil([&] { return replica.applier->connected(); }, 1500))
+      << "replica did not subscribe within 1.5 s of the primary listening";
+  replica.Stop();
+  primary.server->Stop();
+}
+
+TEST_P(ReplTest, StalledPrimaryIsClosedAndRedialed) {
+  // A fake primary: it answers the handshake, sends half a ReplBatch frame
+  // and then holds the socket open without another byte.
+  const int listener = ListenOn(0);
+  ReplicaNode replica = StartReplica("stall_r", BoundPort(listener));
+  const int first = AcceptWithin(listener, 5000);
+  ASSERT_GE(first, 0);
+  std::vector<uint8_t> bytes;
+  server::EncodeHelloAck(server::HelloAck{}, &bytes);
+  WriteAll(first, bytes, bytes.size());
+  ASSERT_TRUE(WaitUntil([&] { return replica.applier->connected(); }, 5000));
+  server::ReplBatch batch;
+  batch.frames.assign(256, 0x5a);
+  bytes.clear();
+  server::EncodeReplBatch(batch, &bytes);
+  WriteAll(first, bytes, bytes.size() / 2);
+
+  const auto stalled_at = std::chrono::steady_clock::now();
+  const int second = AcceptWithin(listener, 7000);
+  EXPECT_GE(second, 0) << "the stalled stream was never redialed";
+  EXPECT_GE(std::chrono::steady_clock::now() - stalled_at,
+            std::chrono::milliseconds(4000))
+      << "closed before the stall rule's 5 s";
+  EXPECT_GE(replica.applier->reconnects(), 1u);
+  EXPECT_TRUE(replica.applier->stream_status().ok());
+  replica.Stop();
+  if (second >= 0) ::close(second);
+  ::close(first);
+  ::close(listener);
+}
+
+TEST_P(ReplTest, StopIsPromptOnAnIdleReplica) {
+  PrimaryNode primary = StartPrimary("stop_p", server::ReplAckMode::kAsync);
+  ReplicaNode replica = StartReplica("stop_r", primary.server->port());
+  for (int round = 0; round < 5; ++round) {
+    ASSERT_TRUE(WaitUntil([&] { return replica.applier->connected(); }));
+    // Idle: subscribed, nothing to ship.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const auto start = std::chrono::steady_clock::now();
+    replica.applier->Stop();
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    EXPECT_LT(elapsed, std::chrono::milliseconds(50)) << "round " << round;
+    ASSERT_TRUE(replica.applier->Start().ok());
+  }
+  replica.Stop();
   primary.server->Stop();
 }
 

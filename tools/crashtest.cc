@@ -37,7 +37,8 @@
 /// catches any partial application. Arguments are derived from the seed,
 /// so the parent can rebuild the schedule without trusting the child.
 ///
-/// Replication rounds (`crashtest repl [rounds] [base_seed]`): each round
+/// Replication rounds (`crashtest repl [rounds] [base_seed]
+/// [io-backend]`): each round
 /// forks a real semisync primary server and a replica (engine + applier)
 /// as separate processes, drives pipelined increments over TCP from the
 /// parent, and kill -9s one side at a seed-chosen point:
@@ -83,11 +84,14 @@
 ///   * liveness: after recovery one single-shard and one cross-shard
 ///     transaction must commit (the in-doubt gate cleared).
 ///
-/// Usage: crashtest [repl] [rounds] [base_seed]
+/// Usage: crashtest [rounds] [base_seed]
+///        crashtest repl [rounds] [base_seed] [io-backend]
 ///        crashtest shard [rounds] [base_seed] [io-backend]
 ///
-/// `io-backend` (auto|uring|epoll, default auto) selects the router's
-/// event-loop backend; shard servers keep their own default.
+/// `io-backend` (auto|uring|epoll, default auto) selects, in repl rounds,
+/// the primary's event loop and both engines' log device (the replica's
+/// applier loop follows its log), and in shard rounds the router's event
+/// loop; shard servers keep their own default.
 
 #include <sys/types.h>
 #include <sys/wait.h>
@@ -625,6 +629,17 @@ EngineOptions ReplEngineOptions(LoggingKind logging,
   return options;
 }
 
+/// The optional `io-backend` argument of repl and shard rounds. Inherited
+/// across fork.
+io::IoBackendKind g_io_backend = io::IoBackendKind::kAuto;
+
+/// Engine options of a repl round's primary or replica process.
+EngineOptions ReplNodeOptions(LoggingKind logging, const std::string& dir) {
+  EngineOptions options = ReplEngineOptions(logging, dir);
+  options.log_io_backend = g_io_backend;
+  return options;
+}
+
 volatile std::sig_atomic_t g_repl_child_stop = 0;
 void OnReplChildSignal(int) { g_repl_child_stop = 1; }
 
@@ -641,13 +656,14 @@ void RunReplPrimaryChild(const ReplPlan& plan, const std::string& dir,
                          int port_fd) {
   std::signal(SIGTERM, OnReplChildSignal);
   {
-    Engine engine(ReplEngineOptions(plan.logging, dir));
+    Engine engine(ReplNodeOptions(plan.logging, dir));
     server::KvServiceOptions kv;
     kv.num_records = kReplRecords;
     server::RegisterKvService(&engine, kv);
     server::ServerOptions srv;
     srv.num_workers = 2;
     srv.repl_ack = server::ReplAckMode::kSemisync;
+    srv.io_backend = g_io_backend;
     server::Server server(&engine, srv);
     if (!server.Start().ok()) ::_exit(99);
     const uint16_t port = server.port();
@@ -665,14 +681,12 @@ void RunReplReplicaChild(const ReplPlan& plan, const std::string& dir,
                          uint16_t primary_port, int ready_fd) {
   std::signal(SIGTERM, OnReplChildSignal);
   {
-    Engine engine(ReplEngineOptions(plan.logging, dir));
+    Engine engine(ReplNodeOptions(plan.logging, dir));
     server::KvServiceOptions kv;
     kv.num_records = kReplRecords;
     server::RegisterKvService(&engine, kv);
     repl::ReplicaApplierOptions opts;
-    opts.primary_port = primary_port;
-    opts.reconnect_backoff_ms = 20;
-    opts.recv_deadline_ms = 50;
+    opts.primary = "127.0.0.1:" + std::to_string(primary_port);
     repl::ReplicaApplier applier(&engine, opts);
     if (!applier.Start().ok()) ::_exit(99);
     while (!applier.connected() && !g_repl_child_stop) {
@@ -1118,10 +1132,6 @@ void RunShardServerChild(int shard_id, const std::string& dir,
   ::_exit(0);
 }
 
-/// Router event-loop backend for shard rounds, from the optional
-/// `crashtest shard ... [io-backend]` argument. Inherited across fork.
-io::IoBackendKind g_shard_io_backend = io::IoBackendKind::kAuto;
-
 /// Router child: the 2PC coordinator. Reports its port only after every
 /// shard connection is up (in-doubt backlogs resolved), so the parent's
 /// first request always lands on a ready topology.
@@ -1137,7 +1147,7 @@ void RunShardRouterChild(const std::vector<uint16_t>& shard_ports,
     opts.num_partitions = kShardPartitions;
     opts.log_dir = dir;
     opts.vote_timeout_ms = 2000;
-    opts.io_backend = g_shard_io_backend;
+    opts.io_backend = g_io_backend;
     opts.crash_after_prepares_sent = crash_after_prepares_sent;
     shard::ShardRouter router(opts);
     if (!router.Start().ok()) ::_exit(99);
@@ -1517,25 +1527,19 @@ int Main(int argc, char** argv) {
   // Children flush inherited stdio on their crash hooks; keep the parent's
   // buffer empty so round banners are not replayed by forked children.
   std::setvbuf(stdout, nullptr, _IOLBF, 0);
-  if (argc > 1 && std::strcmp(argv[1], "shard") == 0) {
+  const bool shard = argc > 1 && std::strcmp(argv[1], "shard") == 0;
+  if (shard || (argc > 1 && std::strcmp(argv[1], "repl") == 0)) {
     const uint64_t rounds =
         argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 20;
     const uint64_t base_seed =
         argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 1;
-    if (argc > 4 &&
-        !io::ParseIoBackendKind(argv[4], &g_shard_io_backend)) {
+    if (argc > 4 && !io::ParseIoBackendKind(argv[4], &g_io_backend)) {
       std::fprintf(stderr, "bad io-backend: %s (auto|uring|epoll)\n",
                    argv[4]);
       return 2;
     }
-    return ShardMain(rounds, base_seed);
-  }
-  if (argc > 1 && std::strcmp(argv[1], "repl") == 0) {
-    const uint64_t rounds =
-        argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 20;
-    const uint64_t base_seed =
-        argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 1;
-    return ReplMain(rounds, base_seed);
+    return shard ? ShardMain(rounds, base_seed)
+                 : ReplMain(rounds, base_seed);
   }
   const uint64_t rounds = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 20;
   const uint64_t base_seed =

@@ -330,18 +330,11 @@ int RunServe(Flags* flags) {
       flags->Die("--role=replica does not support --checkpoint-dir "
                  "(the snapshot gate cannot see the applier's raw writes)");
     }
-    const std::string addr = flags->GetString("primary-addr", "");
-    const size_t colon = addr.rfind(':');
-    const long addr_port =
-        colon == std::string::npos
-            ? 0
-            : std::strtol(addr.c_str() + colon + 1, nullptr, 10);
-    if (colon == std::string::npos || colon == 0 || addr_port <= 0 ||
-        addr_port > 65535) {
+    // The applier's Start() rejects a malformed address.
+    applier_opts.primary = flags->GetString("primary-addr", "");
+    if (applier_opts.primary.empty()) {
       flags->Die("--role=replica requires --primary-addr=HOST:PORT");
     }
-    applier_opts.primary_host = addr.substr(0, colon);
-    applier_opts.primary_port = static_cast<uint16_t>(addr_port);
   }
   const bool recover = flags->GetBool("recover", false);
   if (recover && eng.logging == LoggingKind::kNone) {
@@ -402,9 +395,8 @@ int RunServe(Flags* flags) {
       return 1;
     }
     srv.snapshot_source = applier.get();
-    std::printf("tailing primary at %s:%u from lsn %llu\n",
-                applier_opts.primary_host.c_str(),
-                applier_opts.primary_port,
+    std::printf("tailing primary at %s from lsn %llu\n",
+                applier_opts.primary.c_str(),
                 static_cast<unsigned long long>(applier->applied_lsn()));
   }
 
