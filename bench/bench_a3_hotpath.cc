@@ -11,50 +11,9 @@
 ///
 /// Columns: scheme, mix, txns, allocs_per_txn, ns_per_txn.
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
-
 #include "bench_common.h"
 #include "common/stats.h"
-
-namespace {
-std::atomic<uint64_t> g_allocs{0};
-}  // namespace
-
-// Counting shims: every heap allocation in this binary bumps g_allocs.
-// Deletes deliberately don't count — the metric is allocation traffic.
-void* operator new(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  void* p = std::malloc(size ? size : 1);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  void* p = nullptr;
-  if (posix_memalign(&p, static_cast<std::size_t>(align), size ? size : 1) !=
-      0) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
+#include "counting_allocator.h"
 
 namespace next700 {
 namespace bench {
@@ -89,14 +48,14 @@ Point RunInline(CcScheme scheme, const Mix& mix) {
     NEXT700_CHECK(
         setup.workload->RunNextTxn(setup.engine.get(), 0, &rng).ok());
   }
-  const uint64_t allocs_before = g_allocs.load(std::memory_order_relaxed);
+  const uint64_t allocs_before = counting_allocator::AllocationCount();
   const uint64_t t0 = NowNanos();
   for (uint64_t i = 0; i < measured; ++i) {
     NEXT700_CHECK(
         setup.workload->RunNextTxn(setup.engine.get(), 0, &rng).ok());
   }
   const uint64_t t1 = NowNanos();
-  const uint64_t allocs_after = g_allocs.load(std::memory_order_relaxed);
+  const uint64_t allocs_after = counting_allocator::AllocationCount();
 
   Point point;
   point.txns = measured;

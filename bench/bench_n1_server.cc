@@ -20,10 +20,22 @@
 /// not just in throughput, plus the group-commit layer itself:
 /// txns_per_flush (mean write txns per log flush) and commit_wait_us_p50
 /// (median age of a flush's oldest byte when it became durable), and
-/// inline_share: the fraction of dispatched requests the event loop ran
-/// itself instead of handing them to a worker (run-to-completion).
+/// inline_share: the fraction of dispatched requests the event loops ran
+/// themselves instead of handing them to a worker (run-to-completion).
+///
+/// Sweep 1 also runs each cell on one event loop and on the automatic loop
+/// count (the `loops` column), and every point reports the CPU each named
+/// server thread used (n7-loop<i>, n7-worker<i>, n7-flush), as a share of
+/// one core over the load run: the layer evidence for where a loop
+/// saturates. Read from /proc/self/task/*/{comm,stat}.
 
+#include <dirent.h>
 #include <sys/resource.h>
+#include <unistd.h>
+
+#include <fstream>
+#include <map>
+#include <sstream>
 
 #include "bench_common.h"
 #include "io/io_backend.h"
@@ -46,6 +58,39 @@ std::vector<int> WorkerSweep() {
 }
 
 std::vector<int> PipelineSweep() { return {1, 8, 64}; }
+
+/// One event loop, and the server's automatic count (0).
+std::vector<int> LoopSweep() { return {1, 0}; }
+
+/// CPU seconds (user + system) of this process's threads, summed by thread
+/// name, from /proc/self/task/*/{comm,stat}.
+std::map<std::string, double> ThreadCpuByName() {
+  std::map<std::string, double> cpu;
+  DIR* dir = ::opendir("/proc/self/task");
+  if (dir == nullptr) return cpu;
+  const double tick = static_cast<double>(::sysconf(_SC_CLK_TCK));
+  while (const dirent* entry = ::readdir(dir)) {
+    if (entry->d_name[0] == '.') continue;
+    const std::string task = std::string("/proc/self/task/") + entry->d_name;
+    std::string name;
+    std::getline(std::ifstream(task + "/comm"), name);
+    std::string stat;
+    std::getline(std::ifstream(task + "/stat"), stat);
+    // Fields after the parenthesized name: state is field 3, utime 14 and
+    // stime 15.
+    const size_t close = stat.rfind(')');
+    if (name.empty() || close == std::string::npos) continue;
+    std::istringstream fields(stat.substr(close + 2));
+    std::string field;
+    double ticks = 0;
+    for (int i = 3; i <= 15 && fields >> field; ++i) {
+      if (i >= 14) ticks += std::stod(field);
+    }
+    cpu[name] += ticks / tick;
+  }
+  ::closedir(dir);
+  return cpu;
+}
 
 std::vector<int> ConnectionSweep() {
   return QuickMode() ? std::vector<int>{64, 256}
@@ -96,6 +141,7 @@ bool RunPoint(JsonOutput* json, const char* axis, server::Server* srv,
               Engine* engine, const Composition& comp, int workers,
               int connections, int pipeline,
               const server::LoadGenOptions& base) {
+  const int loops = static_cast<int>(srv->num_loops());
   server::LoadGenOptions load = base;
   load.port = srv->port();
   load.connections = connections;
@@ -108,7 +154,11 @@ bool RunPoint(JsonOutput* json, const char* axis, server::Server* srv,
   LogManager* log = engine->log_manager();
   if (log != nullptr) (void)log->TakeFlushStats();  // Start the interval.
   const IoSnapshot before = Snap(*srv, *engine);
+  const std::map<std::string, double> cpu_before = ThreadCpuByName();
+  const uint64_t start_ns = NowNanos();
   const server::LoadGenStats stats = server::RunLoadGen(load);
+  const double wall_s = static_cast<double>(NowNanos() - start_ns) / 1e9;
+  const std::map<std::string, double> cpu_after = ThreadCpuByName();
   const IoSnapshot after = Snap(*srv, *engine);
   const LogManager::FlushStats flushes =
       log != nullptr ? log->TakeFlushStats() : LogManager::FlushStats{};
@@ -141,44 +191,68 @@ bool RunPoint(JsonOutput* json, const char* axis, server::Server* srv,
   const double p99_us =
       static_cast<double>(stats.latency_ns.Percentile(0.99)) / 1e3;
 
+  // Server threads only: each as a share of one core over the load run.
+  std::vector<JsonOutput::Field> thread_cpu;
+  std::string cpu_line;
+  double loop_cpu_max = 0;
+  for (const auto& [name, seconds] : cpu_after) {
+    if (name.rfind("n7-", 0) != 0) continue;
+    const auto it = cpu_before.find(name);
+    const double share =
+        (seconds - (it == cpu_before.end() ? 0.0 : it->second)) / wall_s;
+    if (name.rfind("n7-loop", 0) == 0) {
+      loop_cpu_max = std::max(loop_cpu_max, share);
+    }
+    thread_cpu.emplace_back("cpu_" + name, JsonOutput::Num(share));
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), " %s=%.2f", name.c_str(), share);
+    cpu_line += buf;
+  }
+
   std::printf(
-      "%s,%s,%d,%d,%d,%s,%.0f,%llu,%llu,%llu,%.0f,%.0f,%.0f,%.2f,%.3f,%.1f,"
-      "%.2f,%.1f,%.3f\n",
-      axis, CcSchemeName(comp.scheme), workers, connections, pipeline,
+      "%s,%s,%d,%d,%d,%d,%s,%.0f,%llu,%llu,%llu,%.0f,%.0f,%.0f,%.2f,%.3f,"
+      "%.1f,%.2f,%.1f,%.3f,%.2f\n",
+      axis, CcSchemeName(comp.scheme), workers, loops, connections, pipeline,
       srv->io_backend_name(), stats.Throughput(),
       static_cast<unsigned long long>(stats.ok),
       static_cast<unsigned long long>(stats.aborted),
       static_cast<unsigned long long>(stats.resource_exhausted), p50_us,
       p95_us, p99_us, syscalls_per_txn, log_writes_per_txn,
-      frames_per_writev, txns_per_flush, commit_wait_us_p50, inline_share);
+      frames_per_writev, txns_per_flush, commit_wait_us_p50, inline_share,
+      loop_cpu_max);
+  std::printf("# thread cpu (cores):%s\n", cpu_line.c_str());
   std::fflush(stdout);
-  json->AddPoint(
-      {{"axis", JsonOutput::Str(axis)},
-       {"scheme", JsonOutput::Str(CcSchemeName(comp.scheme))},
-       {"workers", JsonOutput::Num(workers)},
-       {"connections", JsonOutput::Num(connections)},
-       {"pipeline", JsonOutput::Num(pipeline)},
-       {"io_backend", JsonOutput::Str(srv->io_backend_name())},
-       {"log_device", JsonOutput::Str(
-                          engine->log_manager() != nullptr
-                              ? engine->log_manager()->io_backend_name()
-                              : "none")},
-       {"throughput_txn_s", JsonOutput::Num(stats.Throughput())},
-       {"ok", JsonOutput::Num(static_cast<double>(stats.ok))},
-       {"aborted", JsonOutput::Num(static_cast<double>(stats.aborted))},
-       {"rejected",
-        JsonOutput::Num(static_cast<double>(stats.resource_exhausted))},
-       {"transport_errors",
-        JsonOutput::Num(static_cast<double>(stats.transport_errors))},
-       {"p50_us", JsonOutput::Num(p50_us)},
-       {"p95_us", JsonOutput::Num(p95_us)},
-       {"p99_us", JsonOutput::Num(p99_us)},
-       {"syscalls_per_txn", JsonOutput::Num(syscalls_per_txn)},
-       {"log_writes_per_txn", JsonOutput::Num(log_writes_per_txn)},
-       {"frames_per_writev", JsonOutput::Num(frames_per_writev)},
-       {"txns_per_flush", JsonOutput::Num(txns_per_flush)},
-       {"commit_wait_us_p50", JsonOutput::Num(commit_wait_us_p50)},
-       {"inline_share", JsonOutput::Num(inline_share)}});
+  std::vector<JsonOutput::Field> point = {
+      {"axis", JsonOutput::Str(axis)},
+      {"scheme", JsonOutput::Str(CcSchemeName(comp.scheme))},
+      {"workers", JsonOutput::Num(workers)},
+      {"loops", JsonOutput::Num(loops)},
+      {"connections", JsonOutput::Num(connections)},
+      {"pipeline", JsonOutput::Num(pipeline)},
+      {"io_backend", JsonOutput::Str(srv->io_backend_name())},
+      {"log_device", JsonOutput::Str(
+                         engine->log_manager() != nullptr
+                             ? engine->log_manager()->io_backend_name()
+                             : "none")},
+      {"throughput_txn_s", JsonOutput::Num(stats.Throughput())},
+      {"ok", JsonOutput::Num(static_cast<double>(stats.ok))},
+      {"aborted", JsonOutput::Num(static_cast<double>(stats.aborted))},
+      {"rejected",
+       JsonOutput::Num(static_cast<double>(stats.resource_exhausted))},
+      {"transport_errors",
+       JsonOutput::Num(static_cast<double>(stats.transport_errors))},
+      {"p50_us", JsonOutput::Num(p50_us)},
+      {"p95_us", JsonOutput::Num(p95_us)},
+      {"p99_us", JsonOutput::Num(p99_us)},
+      {"syscalls_per_txn", JsonOutput::Num(syscalls_per_txn)},
+      {"log_writes_per_txn", JsonOutput::Num(log_writes_per_txn)},
+      {"frames_per_writev", JsonOutput::Num(frames_per_writev)},
+      {"txns_per_flush", JsonOutput::Num(txns_per_flush)},
+      {"commit_wait_us_p50", JsonOutput::Num(commit_wait_us_p50)},
+      {"inline_share", JsonOutput::Num(inline_share)},
+      {"loop_cpu_max", JsonOutput::Num(loop_cpu_max)}};
+  point.insert(point.end(), thread_cpu.begin(), thread_cpu.end());
+  json->AddPoint(std::move(point));
   if (stats.transport_errors != 0) {
     std::fprintf(stderr, "transport errors: %llu\n",
                  static_cast<unsigned long long>(stats.transport_errors));
@@ -192,8 +266,8 @@ struct Service {
   std::unique_ptr<server::Server> server;
 };
 
-Service StartService(const Composition& comp, int workers, uint64_t records,
-                     const std::string& log_dir,
+Service StartService(const Composition& comp, int workers, int loops,
+                     uint64_t records, const std::string& log_dir,
                      io::IoBackendKind backend) {
   EngineOptions eng;
   eng.cc_scheme = comp.scheme;
@@ -210,6 +284,7 @@ Service StartService(const Composition& comp, int workers, uint64_t records,
   server::RegisterKvService(service.engine.get(), kv);
   server::ServerOptions srv;
   srv.num_workers = workers;
+  srv.num_loops = loops;
   srv.io_backend = backend;
   service.server =
       std::make_unique<server::Server>(service.engine.get(), srv);
@@ -228,14 +303,16 @@ int main(int argc, char** argv) {
   JsonOutput json(argc, argv);
   json.SetExperiment(
       "N1", "networked service: loopback throughput/latency vs pipeline "
-            "depth x workers x composition x io backend x connections");
+            "depth x workers x loops x composition x io backend x "
+            "connections");
   PrintHeader("N1",
               "networked service: loopback throughput/latency vs pipeline "
-              "depth x workers x composition x io backend x connections",
-              "axis,scheme,workers,connections,pipeline,io_backend,"
+              "depth x workers x loops x composition x io backend x "
+              "connections",
+              "axis,scheme,workers,loops,connections,pipeline,io_backend,"
               "throughput_txn_s,ok,aborted,rejected,p50_us,p95_us,p99_us,"
               "syscalls_per_txn,log_writes_per_txn,frames_per_writev,"
-              "txns_per_flush,commit_wait_us_p50,inline_share");
+              "txns_per_flush,commit_wait_us_p50,inline_share,loop_cpu_max");
 
   const uint64_t records = QuickMode() ? 20000 : 100000;
   const double seconds = QuickMode() ? 0.3 : 2.0;
@@ -251,24 +328,26 @@ int main(int argc, char** argv) {
   base.put_fraction = 0.25;
   base.rmw_keys = 2;
 
-  // Sweep 1: composition x workers x pipeline (the original N1 axes).
+  // Sweep 1: composition x workers x loops x pipeline.
   for (const Composition& comp :
        {Composition{CcScheme::kHstore, true},
         Composition{CcScheme::kOcc, false}}) {
     for (int workers : WorkerSweep()) {
-      Service service = StartService(comp, workers, records, log_dir,
-                                     io::IoBackendKind::kAuto);
-      if (service.server == nullptr) return 1;
-      for (int pipeline : PipelineSweep()) {
-        server::LoadGenOptions load = base;
-        load.num_partitions = static_cast<uint32_t>(workers);
-        if (!RunPoint(&json, "pipeline", service.server.get(),
-                      service.engine.get(), comp, workers,
-                      /*connections=*/4, pipeline, load)) {
-          return 1;
+      for (int loops : LoopSweep()) {
+        Service service = StartService(comp, workers, loops, records,
+                                       log_dir, io::IoBackendKind::kAuto);
+        if (service.server == nullptr) return 1;
+        for (int pipeline : PipelineSweep()) {
+          server::LoadGenOptions load = base;
+          load.num_partitions = static_cast<uint32_t>(workers);
+          if (!RunPoint(&json, "pipeline", service.server.get(),
+                        service.engine.get(), comp, workers,
+                        /*connections=*/4, pipeline, load)) {
+            return 1;
+          }
         }
+        service.server->Stop();
       }
-      service.server->Stop();
     }
   }
 
@@ -287,8 +366,8 @@ int main(int argc, char** argv) {
                  "connection sweep runs the epoll fallback only\n");
   }
   for (const io::IoBackendKind backend : backends) {
-    Service service = StartService(occ, conn_workers, records, log_dir,
-                                   backend);
+    Service service = StartService(occ, conn_workers, /*loops=*/0, records,
+                                   log_dir, backend);
     if (service.server == nullptr) return 1;
     for (int connections : ConnectionSweep()) {
       server::LoadGenOptions load = base;

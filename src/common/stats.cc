@@ -1,5 +1,7 @@
 #include "common/stats.h"
 
+#include <pthread.h>
+
 #include <ctime>
 
 namespace next700 {
@@ -33,6 +35,10 @@ uint64_t NowNanos() {
   clock_gettime(CLOCK_MONOTONIC, &ts);
   return static_cast<uint64_t>(ts.tv_sec) * 1000000000ull +
          static_cast<uint64_t>(ts.tv_nsec);
+}
+
+void SetThreadName(const std::string& name) {
+  ::pthread_setname_np(::pthread_self(), name.substr(0, 15).c_str());
 }
 
 }  // namespace next700

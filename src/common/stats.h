@@ -71,6 +71,11 @@ struct RunStats {
 /// Monotonic wall clock in nanoseconds.
 uint64_t NowNanos();
 
+/// Names the calling thread (Linux truncates to 15 bytes), so per-thread
+/// CPU in /proc/<pid>/task/*/{comm,stat} reads by role: n7-loop<i>,
+/// n7-worker<i>, n7-flush, n7-ckpt, n7-rloop<i>, n7-apply.
+void SetThreadName(const std::string& name);
+
 }  // namespace next700
 
 #endif  // NEXT700_COMMON_STATS_H_

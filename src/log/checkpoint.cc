@@ -8,6 +8,7 @@
 #include <cstring>
 #include <vector>
 
+#include "common/stats.h"
 #include "log/log_file.h"
 #include "log/log_record.h"
 
@@ -236,7 +237,10 @@ void CheckpointCoordinator::Start() {
     MutexLock lock(&stop_mu_);
     stop_ = false;
   }
-  thread_ = std::thread([this] { BackgroundLoop(); });
+  thread_ = std::thread([this] {
+    SetThreadName("n7-ckpt");
+    BackgroundLoop();
+  });
 }
 
 void CheckpointCoordinator::Stop() {

@@ -160,7 +160,10 @@ Status LogManager::Open() {
   NEXT700_RETURN_IF_ERROR(OpenSegment(next_index));
 
   running_ = true;
-  flusher_ = std::thread([this] { FlusherLoop(); });
+  flusher_ = std::thread([this] {
+    SetThreadName("n7-flush");
+    FlusherLoop();
+  });
   return Status::OK();
 }
 

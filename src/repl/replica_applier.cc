@@ -31,7 +31,7 @@ Status ReplicaApplier::Start() {
       engine_->options().log_io_backend, this, &loop_stats_, &loop));
   NEXT700_RETURN_IF_ERROR(loop->Dial(options_.primary));
   loop_ = std::move(loop);
-  loop_->Start();
+  loop_->Start("n7-apply");
   return Status::OK();
 }
 

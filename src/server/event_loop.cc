@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <sched.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -56,8 +57,6 @@ bool ParseHostPort(const std::string& addr, sockaddr_in* out) {
 
 }  // namespace
 
-void EventLoop::Handler::OnAccept(int fd) { ::close(fd); }
-
 Status EventLoop::Create(io::IoBackendKind kind, Handler* handler,
                          LoopStats* stats, std::unique_ptr<EventLoop>* out) {
   std::unique_ptr<EventLoop> loop(new EventLoop(handler, stats));
@@ -73,6 +72,8 @@ EventLoop::~EventLoop() {
     ::close(conn->fd());
   }
   if (listen_fd_ >= 0) ::close(listen_fd_);
+  MutexLock lock(&inbox_mu_);
+  for (const int fd : inbox_fds_) ::close(fd);
 }
 
 Status EventLoop::Listen(const std::string& host, uint16_t port) {
@@ -115,9 +116,12 @@ void EventLoop::DropPeer(size_t index) {
   if (Connection* conn = Find(peers_[index].conn_id)) Close(conn);
 }
 
-void EventLoop::Start() {
+void EventLoop::Start(const std::string& thread_name) {
   stop_.store(false, std::memory_order_release);
-  thread_ = std::thread([this] { Run(); });
+  thread_ = std::thread([this, thread_name] {
+    SetThreadName(thread_name);
+    Run();
+  });
 }
 
 void EventLoop::Stop() {
@@ -140,6 +144,7 @@ void EventLoop::Run() {
       const io::IoEvent& event = events[i];
       switch (event.op) {
         case io::IoEvent::Op::kWakeup:
+          DrainInbox();
           handler_->OnWakeup();
           break;
         case io::IoEvent::Op::kAccept:
@@ -242,10 +247,39 @@ EventLoop::Peer* EventLoop::PeerOf(uint64_t conn_id) {
   return nullptr;
 }
 
+void EventLoop::Post(std::function<void()> task) {
+  {
+    MutexLock lock(&inbox_mu_);
+    inbox_tasks_.push_back(std::move(task));
+  }
+  io_->Wakeup();
+}
+
+void EventLoop::DrainInbox() {
+  std::vector<std::function<void()>> tasks;
+  std::vector<int> fds;
+  {
+    MutexLock lock(&inbox_mu_);
+    tasks.swap(inbox_tasks_);
+    fds.swap(inbox_fds_);
+  }
+  for (const int fd : fds) Adopt(fd);
+  for (auto& task : tasks) task();
+}
+
 void EventLoop::HandleAccept(int32_t result) {
   if (result >= 0) {
     accept_backoff_ms_ = 0;
-    handler_->OnAccept(result);
+    EventLoop* target = group_ == nullptr ? this : group_->NextAcceptLoop();
+    if (target == this) {
+      Adopt(result);
+      return;
+    }
+    {
+      MutexLock lock(&target->inbox_mu_);
+      target->inbox_fds_.push_back(result);
+    }
+    target->Wakeup();
     return;
   }
   if (result == -ECONNABORTED || result == -EAGAIN || result == -EINTR) {
@@ -264,16 +298,16 @@ void EventLoop::HandleAccept(int32_t result) {
 Connection* EventLoop::Register(int fd) {
   const int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  const uint64_t id = next_id_++;
+  const uint64_t id = (next_seq_++ << kLoopIndexBits) | index_;
   auto conn = std::make_unique<Connection>(fd, id);
   Connection* raw = conn.get();
   connections_.emplace(id, std::move(conn));
   return raw;
 }
 
-void EventLoop::Adopt(int fd, bool read_paused) {
+void EventLoop::Adopt(int fd) {
   Connection* conn = Register(fd);
-  conn->set_read_paused(read_paused);
+  handler_->OnAccepted(conn);
   StartRead(conn);
 }
 
@@ -402,6 +436,64 @@ void EventLoop::Close(Connection* conn) {
     if (!peer->dropped) ScheduleRedial(peer, MonotonicMs());
   }
   handler_->OnClosed(owned.get());
+}
+
+int EventLoopGroup::DefaultLoopCount() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  const int cpus = ::sched_getaffinity(0, sizeof(set), &set) == 0
+                       ? CPU_COUNT(&set)
+                       : static_cast<int>(::sysconf(_SC_NPROCESSORS_ONLN));
+  return std::max(1, std::min(4, cpus / 2));
+}
+
+Status EventLoopGroup::Create(io::IoBackendKind kind,
+                              const std::vector<EventLoop::Handler*>& handlers,
+                              LoopStats* stats,
+                              std::unique_ptr<EventLoopGroup>* out) {
+  NEXT700_CHECK(!handlers.empty() &&
+                handlers.size() <= (1u << EventLoop::kLoopIndexBits));
+  std::unique_ptr<EventLoopGroup> group(new EventLoopGroup());
+  for (size_t i = 0; i < handlers.size(); ++i) {
+    std::unique_ptr<EventLoop> loop;
+    NEXT700_RETURN_IF_ERROR(EventLoop::Create(kind, handlers[i], stats, &loop));
+    loop->group_ = group.get();
+    loop->index_ = static_cast<uint32_t>(i);
+    group->loops_.push_back(std::move(loop));
+  }
+  *out = std::move(group);
+  return Status::OK();
+}
+
+void EventLoopGroup::Start(const std::string& thread_prefix) {
+  for (auto& loop : loops_) {
+    loop->Start(thread_prefix + std::to_string(loop->index()));
+  }
+}
+
+void EventLoopGroup::Stop() {
+  for (auto& loop : loops_) loop->Stop();
+}
+
+void EventLoopGroup::SumIoCounters(io::IoCounters* out) const {
+  uint64_t sums[7] = {};
+  for (const auto& loop : loops_) {
+    const io::IoCounters& c = loop->io().counters();
+    sums[0] += c.read_ops.load(std::memory_order_relaxed);
+    sums[1] += c.write_ops.load(std::memory_order_relaxed);
+    sums[2] += c.accept_ops.load(std::memory_order_relaxed);
+    sums[3] += c.fsync_ops.load(std::memory_order_relaxed);
+    sums[4] += c.submissions.load(std::memory_order_relaxed);
+    sums[5] += c.syscalls.load(std::memory_order_relaxed);
+    sums[6] += c.waits.load(std::memory_order_relaxed);
+  }
+  out->read_ops.store(sums[0], std::memory_order_relaxed);
+  out->write_ops.store(sums[1], std::memory_order_relaxed);
+  out->accept_ops.store(sums[2], std::memory_order_relaxed);
+  out->fsync_ops.store(sums[3], std::memory_order_relaxed);
+  out->submissions.store(sums[4], std::memory_order_relaxed);
+  out->syscalls.store(sums[5], std::memory_order_relaxed);
+  out->waits.store(sums[6], std::memory_order_relaxed);
 }
 
 }  // namespace server

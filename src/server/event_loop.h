@@ -5,7 +5,8 @@
 /// The connection loop shared by the transaction server, the shard router
 /// and the replica's applier: one thread driving one io::IoBackend over a
 /// table of framed Connections. The loop owns the mechanics; its owner
-/// supplies the protocol through Handler hooks.
+/// supplies the protocol through Handler hooks. The server and the router
+/// run N loops as one EventLoopGroup (below); the applier runs one alone.
 ///
 ///  - Accept policy: ECONNABORTED/EAGAIN/EINTR are ignored (the accept
 ///    stays armed). Any other failure (EMFILE, ENFILE, ENOMEM, ...) is
@@ -34,17 +35,20 @@
 ///  - Close: CancelFd before close(2): the fd number may be reused by the
 ///    next accept, and the read buffer dies with the connection.
 ///  - user_data: the accept carries 1; reads and writes carry
-///    (connection id << 1 | is_write). Ids start at 1 and are never
-///    reused, so a completion for a closed connection finds nothing.
+///    (connection id << 1 | is_write). A connection id is
+///    (sequence << kLoopIndexBits | loop index): unique across a group and
+///    never reused, so a completion for a closed connection finds nothing,
+///    and an id names the loop that owns it (EventLoopGroup::LoopOf).
 ///
-/// Threading: once Start()ed, everything but Wakeup() and the counters
-/// belongs to the loop thread; before Start() and after Stop() the owner
-/// thread may call anything.
+/// Threading: once Start()ed, everything but Wakeup(), Post() and the
+/// counters belongs to the loop thread; before Start() and after Stop() the
+/// owner thread may call anything.
 
 #include <netinet/in.h>
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <random>
 #include <string>
@@ -53,6 +57,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "common/thread_safety.h"
 #include "io/io_backend.h"
 #include "server/connection.h"
 
@@ -71,6 +76,8 @@ struct LoopStats {
   std::atomic<uint64_t> frames_batched{0};
 };
 
+class EventLoopGroup;
+
 class EventLoop {
  public:
   using ConnectionMap =
@@ -80,9 +87,10 @@ class EventLoop {
   class Handler {
    public:
     virtual ~Handler() = default;
-    /// The listener accepted `fd` (nonblocking, close-on-exec). Adopt it
-    /// here or hand it to another loop; the default closes it.
-    virtual void OnAccept(int fd);
+    /// The group's listener accepted `conn` and dealt it to this loop. Its
+    /// first read is armed when the hook returns, unless it set
+    /// read_paused.
+    virtual void OnAccepted(Connection*) {}
     /// New bytes were fed into conn's decoder. Returns false if it closed
     /// `conn` (the loop then arms no read).
     virtual bool OnFrames(Connection* conn) = 0;
@@ -96,28 +104,29 @@ class EventLoop {
     /// progress. Queue its opening frames and MarkDirty it: their write
     /// completion arms its first read.
     virtual void OnDialed(size_t /*peer*/, Connection* /*conn*/) {}
-    /// Another thread called Wakeup().
+    /// Another thread called Wakeup() or Post() (posted tasks run first).
     virtual void OnWakeup() {}
     /// Runs the owner's timers due at `now_ms` (monotonic) and returns its
     /// next deadline, or UINT64_MAX for none. Called once per reap batch.
     virtual uint64_t RunTimers(uint64_t /*now_ms*/) { return UINT64_MAX; }
   };
 
+  /// Connection ids carry their loop's index in these low bits.
+  static constexpr int kLoopIndexBits = 8;
+
   /// Builds a loop on a fresh backend of `kind` (kUring fails where the
   /// kernel lacks a usable ring). `handler` and `stats` must outlive it.
   static Status Create(io::IoBackendKind kind, Handler* handler,
                        LoopStats* stats, std::unique_ptr<EventLoop>* out);
 
-  /// Stops the thread, then closes every connection and the listener.
+  /// Stops the thread, then closes every connection, the listener and any
+  /// accepted socket still in the inbox.
   ~EventLoop();
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
 
-  /// Binds `host:port` (0 = ephemeral), listens, and arms the accept.
-  /// Call before Start().
-  Status Listen(const std::string& host, uint16_t port);
-  /// Port actually bound (after Listen).
-  uint16_t port() const { return port_; }
+  /// This loop's index in its group (0 for a loop of its own).
+  uint32_t index() const { return index_; }
 
   /// Adds outbound peer `addr` ("host:port", IPv4; peers are numbered 0,
   /// 1, ... in call order), dialed from the loop's timers until DropPeer.
@@ -128,19 +137,18 @@ class EventLoop {
   /// Closes `peer`'s connection, if any, and never redials it.
   void DropPeer(size_t peer);
 
-  /// Starts the loop thread.
-  void Start();
+  /// Starts the loop thread, named `thread_name`.
+  void Start(const std::string& thread_name);
   /// Stops and joins the loop thread; connections stay open until the loop
   /// is destroyed. Idempotent.
   void Stop();
 
   /// Thread-safe: surfaces as OnWakeup on the loop thread.
   void Wakeup() { io_->Wakeup(); }
+  /// Thread-safe: runs `task` on the loop thread, ahead of the OnWakeup
+  /// this call causes. The inbox other threads reach the loop through.
+  void Post(std::function<void()> task);
   const io::IoBackend& io() const { return *io_; }
-
-  /// Registers an accepted socket and arms its first read (unless
-  /// `read_paused`). The connection may already be closed on return.
-  void Adopt(int fd, bool read_paused = false);
 
   /// Null once the connection has closed.
   Connection* Find(uint64_t id) const {
@@ -176,8 +184,18 @@ class EventLoop {
     uint64_t progress_ms = 0;
   };
 
+  friend class EventLoopGroup;
+
   EventLoop(Handler* handler, LoopStats* stats)
       : handler_(handler), stats_(stats) {}
+
+  /// Binds `host:port` (0 = ephemeral), listens, and arms the accept.
+  Status Listen(const std::string& host, uint16_t port);
+  /// Registers an accepted socket, calls OnAccepted, and arms its first
+  /// read.
+  void Adopt(int fd);
+  /// Runs the tasks and adopts the sockets other threads posted.
+  void DrainInbox();
 
   void Run();
   /// Re-arms a backed-off accept when due, runs the owner's and the peers'
@@ -203,12 +221,20 @@ class EventLoop {
 
   Handler* handler_;
   LoopStats* stats_;
+  EventLoopGroup* group_ = nullptr;  // Null for a loop of its own.
+  uint32_t index_ = 0;
   std::unique_ptr<io::IoBackend> io_;
   std::thread thread_;
   std::atomic<bool> stop_{false};
 
+  /// Cross-thread inbox, drained on every wakeup.
+  Mutex inbox_mu_;
+  std::vector<std::function<void()>> inbox_tasks_ GUARDED_BY(inbox_mu_);
+  /// Sockets loop 0 accepted and dealt to this loop.
+  std::vector<int> inbox_fds_ GUARDED_BY(inbox_mu_);
+
   ConnectionMap connections_;
-  uint64_t next_id_ = 1;
+  uint64_t next_seq_ = 1;
   /// Connections owed a writev at batch end (by id: an entry may name a
   /// connection closed earlier in the same batch).
   std::vector<uint64_t> dirty_;
@@ -223,6 +249,65 @@ class EventLoop {
   /// Redial jitter: loops that lost a shard together do not redial it in
   /// lockstep.
   std::minstd_rand rng_{std::random_device{}()};
+};
+
+/// N EventLoops serving one listener. Loop 0 owns the listener and deals
+/// accepted sockets round-robin, adopting its own share and posting the
+/// rest to the other loops' inboxes; from then on each connection lives on
+/// one loop. Any thread reaches a loop through Post() + Wakeup(), and a
+/// connection id names its loop (LoopOf), so a reply produced elsewhere
+/// finds its way home.
+class EventLoopGroup {
+ public:
+  /// max(1, min(4, CPUs this process may run on / 2)): one loop per two
+  /// CPUs leaves the other CPU of each pair to the workers and the log.
+  static int DefaultLoopCount();
+
+  /// Builds one loop per handler (loop i runs handlers[i]), each on a
+  /// fresh backend of `kind`; at most 1 << kLoopIndexBits loops. The
+  /// handlers and `stats` must outlive the group.
+  static Status Create(io::IoBackendKind kind,
+                       const std::vector<EventLoop::Handler*>& handlers,
+                       LoopStats* stats,
+                       std::unique_ptr<EventLoopGroup>* out);
+
+  /// Stops every loop, then closes every connection and the listener.
+  ~EventLoopGroup() { Stop(); }
+  EventLoopGroup(const EventLoopGroup&) = delete;
+  EventLoopGroup& operator=(const EventLoopGroup&) = delete;
+
+  /// Binds `host:port` (0 = ephemeral) on loop 0 and arms its accept.
+  /// Call before Start().
+  Status Listen(const std::string& host, uint16_t port) {
+    return loops_[0]->Listen(host, port);
+  }
+  /// Port actually bound (after Listen).
+  uint16_t port() const { return loops_[0]->port_; }
+
+  /// Starts the loop threads, named `thread_prefix` + index.
+  void Start(const std::string& thread_prefix);
+  /// Stops and joins every loop thread. Idempotent.
+  void Stop();
+
+  EventLoop* loop(size_t index) const { return loops_[index].get(); }
+  /// The loop that owns connection `conn_id`.
+  EventLoop* LoopOf(uint64_t conn_id) const {
+    return loops_[conn_id & ((1u << EventLoop::kLoopIndexBits) - 1)].get();
+  }
+  /// Every loop's backend counters, summed into `*out`.
+  void SumIoCounters(io::IoCounters* out) const;
+
+ private:
+  friend class EventLoop;
+
+  EventLoopGroup() = default;
+  /// Loop 0's accept: the loop that adopts the next socket.
+  EventLoop* NextAcceptLoop() {
+    return loops_[accept_rr_++ % loops_.size()].get();
+  }
+
+  std::vector<std::unique_ptr<EventLoop>> loops_;
+  uint64_t accept_rr_ = 0;  // Loop 0's thread only.
 };
 
 }  // namespace server

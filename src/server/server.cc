@@ -3,6 +3,10 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bitset>
+#include <string>
+
+#include "common/stats.h"
 
 namespace next700 {
 namespace server {
@@ -20,6 +24,49 @@ constexpr size_t kShipWindowBytes = 4 * kMaxReplBatchBytes;
 
 }  // namespace
 
+/// One event loop's hooks, and the state only that loop writes (the
+/// atomics are read by other threads).
+struct NEXT700_CACHE_ALIGNED Server::Loop : EventLoop::Handler {
+  Server* server = nullptr;
+  EventLoop* net = nullptr;  // Owned by the server's group.
+
+  void OnAccepted(Connection* conn) override {
+    server->OnAccepted(this, conn);
+  }
+  bool OnFrames(Connection* conn) override {
+    return server->OnFrames(this, conn);
+  }
+  bool OnWriteDrained(Connection* conn) override {
+    return server->OnWriteDrained(this, conn);
+  }
+  void OnClosed(Connection* conn) override { server->OnClosed(this, conn); }
+  void OnWakeup() override { server->OnWakeup(this); }
+
+  /// Latch over the recovered in-doubt gate: true while
+  /// Engine::has_in_doubt() might still hold, so the steady state never
+  /// takes the engine's in-doubt mutex per request. Only true -> false.
+  bool in_doubt_gate = false;
+  /// Spreads undeclared-partition requests across H-Store workers.
+  uint64_t round_robin = 0;
+  std::atomic<uint64_t> accepted{0};
+  std::atomic<uint64_t> inline_runs{0};
+  /// Paused on the budget; other loops read it to resume this one.
+  std::atomic<bool> reads_paused{false};
+  /// Set around every inline run: a worker starting a Prepare waits until
+  /// it is clear (see the lending rule in server.h).
+  std::atomic<bool> running_inline{false};
+  /// Replicas subscribed on this loop and their max acked-durable LSN.
+  std::atomic<uint32_t> replicas{0};
+  std::atomic<Lsn> replicas_acked{0};
+  /// Flusher -> loop: new durable bytes are ready to ship.
+  std::atomic<bool> ship_pending{false};
+
+  /// Replies for this loop's connections (workers, the flusher, other
+  /// loops); drained on wakeup.
+  NEXT700_CACHE_ALIGNED Mutex completions_mu;
+  std::deque<Completion> completions GUARDED_BY(completions_mu);
+};
+
 Server::Server(Engine* engine, ServerOptions options)
     : engine_(engine), options_(std::move(options)) {
   NEXT700_CHECK(engine_ != nullptr);
@@ -33,12 +80,31 @@ Server::~Server() { Stop(); }
 
 Status Server::Start() {
   NEXT700_CHECK(!running_.load());
+  const int num_loops =
+      options_.num_loops > 0
+          ? options_.num_loops
+          : std::min(options_.num_workers, EventLoopGroup::DefaultLoopCount());
+  std::vector<EventLoop::Handler*> handlers;
+  loops_.clear();
+  for (int i = 0; i < num_loops; ++i) {
+    loops_.push_back(std::make_unique<Loop>());
+    loops_.back()->server = this;
+    handlers.push_back(loops_.back().get());
+  }
   // kUring fails loudly here on kernels without a usable ring; kAuto
   // quietly resolves to the batched-epoll fallback.
-  NEXT700_RETURN_IF_ERROR(
-      EventLoop::Create(options_.io_backend, this, &stats_, &loop_));
-  NEXT700_RETURN_IF_ERROR(loop_->Listen(options_.host, options_.port));
-  bound_port_ = loop_->port();
+  Status built = EventLoopGroup::Create(options_.io_backend, handlers,
+                                        &stats_, &group_);
+  if (built.ok()) built = group_->Listen(options_.host, options_.port);
+  if (!built.ok()) {
+    group_.reset();
+    loops_.clear();
+    return built;
+  }
+  bound_port_ = group_->port();
+  for (size_t i = 0; i < loops_.size(); ++i) {
+    loops_[i]->net = group_->loop(i);
+  }
 
   // Queue-oriented dispatch for the partitioned composition: partition p is
   // served by worker (p mod workers), so single-partition transactions on
@@ -53,28 +119,35 @@ Status Server::Start() {
   if (engine_->log_manager() != nullptr) {
     // One durable callback serves two consumers: releasing held replies
     // (sync-commit replies, and commit DecisionAcks in every mode) and
-    // waking the loop to ship freshly durable bytes to replicas. The
-    // flusher thread must not touch loop-owned connection state, so
+    // waking the loops that hold replicas to ship freshly durable bytes.
+    // The flusher thread must not touch loop-owned connection state, so
     // shipping is signalled through a flag + the backend's thread-safe
     // Wakeup.
     engine_->log_manager()->SetDurableCallback([this](Lsn durable) {
       ReleaseDurable(ReleaseWatermark(durable));
-      if (replica_count_.load(std::memory_order_acquire) > 0) {
-        ship_pending_.store(true, std::memory_order_release);
-        loop_->Wakeup();
+      if (replica_count_.load(std::memory_order_acquire) == 0) return;
+      for (auto& loop : loops_) {
+        if (loop->replicas.load(std::memory_order_acquire) > 0) {
+          loop->ship_pending.store(true, std::memory_order_release);
+          loop->net->Wakeup();
+        }
       }
     });
   }
 
   // Requests and Prepares stay fenced out until every in-doubt transaction
   // recovery surfaced is resolved by its coordinator.
-  in_doubt_gate_ = engine_->has_in_doubt();
+  const bool in_doubt = engine_->has_in_doubt();
+  for (auto& loop : loops_) loop->in_doubt_gate = in_doubt;
 
   running_.store(true);
   for (int i = 0; i < options_.num_workers; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
+    workers_.emplace_back([this, i] {
+      SetThreadName("n7-worker" + std::to_string(i));
+      WorkerLoop(i);
+    });
   }
-  loop_->Start();
+  group_->Start("n7-loop");
   return Status::OK();
 }
 
@@ -85,7 +158,7 @@ void Server::Stop() {
     // flusher can no longer call into this object.
     engine_->log_manager()->SetDurableCallback(nullptr);
   }
-  loop_->Stop();
+  group_->Stop();
 
   // Release workers parked on undecided prepared branches: they abort in
   // memory without logging an outcome, so the gtid stays in doubt on disk
@@ -107,31 +180,51 @@ void Server::Stop() {
   workers_.clear();
   queues_.clear();
 
-  // Last (closes every connection and the listener): workers called
-  // loop_->Wakeup() through PushCompletion until the join above, so the
-  // backend must outlive them.
-  loop_.reset();
+  // Last (closes every connection and the listener): workers woke loops
+  // through PushCompletion until the join above, so the backends must
+  // outlive them.
+  group_.reset();
+  loops_.clear();
   running_.store(false);
 }
 
-void Server::OnAccept(int fd) {
+const io::IoCounters* Server::io_counters() const {
+  if (group_ == nullptr) return nullptr;
+  group_->SumIoCounters(&io_totals_);
+  return &io_totals_;
+}
+
+Server::LoopCounts Server::loop_counts(size_t index) const {
+  const Loop& loop = *loops_[index];
+  return LoopCounts{loop.accepted.load(std::memory_order_relaxed),
+                    loop.inline_runs.load(std::memory_order_relaxed)};
+}
+
+Server::Loop* Server::LoopOf(uint64_t conn_id) const {
+  return loops_[group_->LoopOf(conn_id)->index()].get();
+}
+
+void Server::OnAccepted(Loop* loop, Connection* conn) {
   stats_.connections_accepted.fetch_add(1, std::memory_order_relaxed);
-  loop_->Adopt(fd, reads_paused_);
+  loop->accepted.fetch_add(1, std::memory_order_relaxed);
+  conn->set_read_paused(loop->reads_paused.load(std::memory_order_relaxed));
 }
 
-void Server::OnWakeup() {
-  DrainCompletions();
-  if (ship_pending_.exchange(false, std::memory_order_acq_rel)) ShipAll();
+void Server::OnWakeup(Loop* loop) {
+  DrainCompletions(loop);
+  if (loop->ship_pending.exchange(false, std::memory_order_acq_rel)) {
+    ShipAll(loop);
+  }
 }
 
-bool Server::OnFrames(Connection* conn) {
+bool Server::OnFrames(Loop* loop, Connection* conn) {
   const uint64_t conn_id = conn->id();
   for (;;) {
     // The admission budget throttles client requests only; handshakes and
     // replica acks must keep flowing (acks release held replies).
     if (conn->handshaken() && conn->peer() == PeerRole::kClient &&
         inflight_.load(std::memory_order_relaxed) >= options_.max_inflight) {
-      PauseReads();
+      PauseReads(loop);
       break;
     }
     Frame frame;
@@ -139,7 +232,7 @@ bool Server::OnFrames(Connection* conn) {
     const Status stream_ok = conn->decoder()->Next(&frame, &have);
     if (!stream_ok.ok()) {
       // Oversized or garbage header: the stream cannot be resynchronized.
-      DropConnection(conn);
+      DropConnection(loop, conn);
       return false;
     }
     if (!have) break;
@@ -147,22 +240,22 @@ bool Server::OnFrames(Connection* conn) {
     // may also have closed a draining one, hence the re-find.
     bool alive = true;
     if (!conn->handshaken()) {
-      alive = HandleHello(conn, frame);
+      alive = HandleHello(loop, conn, frame);
     } else if (frame.type == FrameType::kReplAck &&
                conn->peer() == PeerRole::kReplica) {
-      alive = HandleReplAck(conn, frame);
+      alive = HandleReplAck(loop, conn, frame);
     } else if (conn->peer() == PeerRole::kCoordinator &&
                frame.type != FrameType::kRequest) {
-      alive = HandleCoordinatorFrame(conn, frame);
+      alive = HandleCoordinatorFrame(loop, conn, frame);
     } else if (frame.type != FrameType::kRequest ||
                (conn->peer() != PeerRole::kClient &&
                 conn->peer() != PeerRole::kCoordinator)) {
-      DropConnection(conn);
+      DropConnection(loop, conn);
       return false;
     } else {
       Request request;
       if (DecodeRequest(frame.body, frame.body_len, &request).ok()) {
-        DispatchRequest(conn, std::move(request));
+        DispatchRequest(loop, conn, std::move(request));
       } else {
         // Framing is intact, so the connection survives; answer with an
         // error.
@@ -170,15 +263,15 @@ bool Server::OnFrames(Connection* conn) {
         Response response;
         response.request_id = request.request_id;
         response.status = StatusCode::kInvalidArgument;
-        CompleteInline(conn, conn->AdmitRequest(), response);
+        CompleteInline(loop, conn, conn->AdmitRequest(), response);
       }
     }
-    if (!alive || loop_->Find(conn_id) == nullptr) return false;
+    if (!alive || loop->net->Find(conn_id) == nullptr) return false;
   }
-  return !loop_->MaybeCloseDrained(conn);
+  return !loop->net->MaybeCloseDrained(conn);
 }
 
-bool Server::HandleHello(Connection* conn, const Frame& frame) {
+bool Server::HandleHello(Loop* loop, Connection* conn, const Frame& frame) {
   Hello hello;
   Status status = frame.type == FrameType::kHello
                       ? DecodeHello(frame.body, frame.body_len, &hello)
@@ -196,7 +289,7 @@ bool Server::HandleHello(Connection* conn, const Frame& frame) {
   if (!status.ok()) {
     // Loud rejection of mixed-version or non-next700 peers: drop the
     // connection before interpreting a single byte of their payloads.
-    DropConnection(conn);
+    DropConnection(loop, conn);
     return false;
   }
   conn->set_handshaken();
@@ -204,15 +297,15 @@ bool Server::HandleHello(Connection* conn, const Frame& frame) {
   std::vector<uint8_t> ack;
   EncodeHelloAck(HelloAck{}, &ack);
   conn->EnqueueRaw(ack.data(), ack.size());
-  FlushConnection(conn);  // May close `conn`; callers re-find by id.
+  FlushConnection(loop, conn);  // May close `conn`; callers re-find by id.
   return true;
 }
 
-bool Server::HandleReplAck(Connection* conn, const Frame& frame) {
+bool Server::HandleReplAck(Loop* loop, Connection* conn, const Frame& frame) {
   ReplAck ack;
   const Status decoded = DecodeReplAck(frame.body, frame.body_len, &ack);
   if (!decoded.ok()) {
-    DropConnection(conn);
+    DropConnection(loop, conn);
     return false;
   }
   stats_.repl_acks_received.fetch_add(1, std::memory_order_relaxed);
@@ -221,19 +314,20 @@ bool Server::HandleReplAck(Connection* conn, const Frame& frame) {
     // end, which is where shipping resumes (frame boundary by contract).
     conn->set_shipper(std::make_unique<repl::LogShipper>(
         engine_->log_manager(), ack.durable_lsn));
+    loop->replicas.fetch_add(1, std::memory_order_release);
     replica_count_.fetch_add(1, std::memory_order_release);
   } else {
     conn->shipper()->RecordAck(ack.durable_lsn);
   }
   if (options_.repl_ack == ReplAckMode::kSemisync) {
-    RecomputeSemisyncWatermark();
+    RecomputeSemisyncWatermark(loop);
     ReleaseDurable(ReleaseWatermark(engine_->log_manager()->durable_lsn()));
   }
-  ShipToReplica(conn);  // May close `conn`; callers re-find by id.
+  ShipToReplica(loop, conn);  // May close `conn`; callers re-find by id.
   return true;
 }
 
-void Server::ShipToReplica(Connection* conn) {
+void Server::ShipToReplica(Loop* loop, Connection* conn) {
   repl::LogShipper* shipper = conn->shipper();
   if (shipper == nullptr) return;
   bool enqueued = false;
@@ -246,7 +340,7 @@ void Server::ShipToReplica(Connection* conn) {
       // replica cannot catch up by tailing and must re-bootstrap from a
       // checkpoint. Dropping the subscription makes that loud.
       stats_.connections_dropped.fetch_add(1, std::memory_order_relaxed);
-      loop_->Close(conn);
+      loop->net->Close(conn);
       return;
     }
     if (!have) break;
@@ -254,26 +348,35 @@ void Server::ShipToReplica(Connection* conn) {
     stats_.repl_batches_shipped.fetch_add(1, std::memory_order_relaxed);
     enqueued = true;
   }
-  if (enqueued) FlushConnection(conn);
+  if (enqueued) FlushConnection(loop, conn);
 }
 
-void Server::ShipAll() {
+void Server::ShipAll(Loop* loop) {
   std::vector<uint64_t> ids;
-  for (auto& [id, conn] : loop_->connections()) {
+  for (auto& [id, conn] : loop->net->connections()) {
     if (conn->shipper() != nullptr) ids.push_back(id);
   }
   for (uint64_t id : ids) {
-    if (Connection* conn = loop_->Find(id)) ShipToReplica(conn);
+    if (Connection* conn = loop->net->Find(id)) ShipToReplica(loop, conn);
   }
 }
 
-void Server::RecomputeSemisyncWatermark() {
-  Lsn max_acked = 0;
-  for (auto& [id, conn] : loop_->connections()) {
+void Server::RecomputeSemisyncWatermark(Loop* loop) {
+  Lsn loop_acked = 0;
+  for (auto& [id, conn] : loop->net->connections()) {
     (void)id;
     if (conn->shipper() != nullptr) {
-      max_acked = std::max(max_acked, conn->shipper()->acked_durable());
+      loop_acked = std::max(loop_acked, conn->shipper()->acked_durable());
     }
+  }
+  loop->replicas_acked.store(loop_acked, std::memory_order_release);
+  // Each loop publishes its own max before taking the mutex, so the last
+  // recompute to take it sees every loop's latest value.
+  MutexLock lock(&semisync_mu_);
+  Lsn max_acked = 0;
+  for (const auto& other : loops_) {
+    max_acked = std::max(
+        max_acked, other->replicas_acked.load(std::memory_order_acquire));
   }
   semisync_watermark_.store(max_acked, std::memory_order_release);
 }
@@ -287,32 +390,33 @@ Lsn Server::ReleaseWatermark(Lsn durable) const {
                   semisync_watermark_.load(std::memory_order_acquire));
 }
 
-bool Server::HandleCoordinatorFrame(Connection* conn, const Frame& frame) {
+bool Server::HandleCoordinatorFrame(Loop* loop, Connection* conn,
+                                    const Frame& frame) {
   switch (frame.type) {
     case FrameType::kPrepare:
-      return HandlePrepare(conn, frame);
+      return HandlePrepare(loop, conn, frame);
     case FrameType::kCommitDecision:
     case FrameType::kAbortDecision:
-      return HandleDecision(conn, frame);
+      return HandleDecision(loop, conn, frame);
     case FrameType::kInDoubtQuery:
-      return HandleInDoubtQuery(conn, frame);
+      return HandleInDoubtQuery(loop, conn, frame);
     default:
-      DropConnection(conn);
+      DropConnection(loop, conn);
       return false;
   }
 }
 
-bool Server::HandlePrepare(Connection* conn, const Frame& frame) {
+bool Server::HandlePrepare(Loop* loop, Connection* conn, const Frame& frame) {
   Prepare prepare;
   const Status decoded = DecodePrepare(frame.body, frame.body_len, &prepare);
   if (!decoded.ok()) {
     // The coordinator is trusted infrastructure; a malformed Prepare means
     // a version skew or corruption, not a user error worth a polite reply.
-    DropConnection(conn);
+    DropConnection(loop, conn);
     return false;
   }
   const uint64_t seq = conn->AdmitRequest();
-  StatusCode code = CheckRunnable(prepare.proc_id);
+  StatusCode code = CheckRunnable(loop, prepare.proc_id);
   if (code == StatusCode::kOk && options_.snapshot_source != nullptr) {
     code = StatusCode::kInvalidArgument;  // Replicas never prepare.
   }
@@ -322,9 +426,8 @@ bool Server::HandlePrepare(Connection* conn, const Frame& frame) {
   Vote vote;
   vote.gtid = prepare.gtid;
   if (code == StatusCode::kOk) {
-    WorkQueue* queue =
-        queues_[static_cast<size_t>(WorkerForPartitions(prepare.partitions))]
-            .get();
+    WorkQueue* queue = queues_[static_cast<size_t>(
+        WorkerForPartitions(loop, prepare.partitions))].get();
     // Registered at admission rather than once prepared: an in-doubt query
     // must list a branch that is still queued or executing, or a
     // coordinator that lost this connection could sweep before the branch
@@ -353,16 +456,16 @@ bool Server::HandlePrepare(Connection* conn, const Frame& frame) {
   std::vector<uint8_t> encoded;
   EncodeVote(vote, &encoded);
   conn->Complete(seq, std::move(encoded));
-  FlushConnection(conn);  // May close `conn`; callers re-find by id.
+  FlushConnection(loop, conn);  // May close `conn`; callers re-find by id.
   return true;
 }
 
-bool Server::HandleDecision(Connection* conn, const Frame& frame) {
+bool Server::HandleDecision(Loop* loop, Connection* conn, const Frame& frame) {
   Decision decision;
   const Status decoded =
       DecodeDecision(frame.body, frame.body_len, &decision);
   if (!decoded.ok()) {
-    DropConnection(conn);
+    DropConnection(loop, conn);
     return false;
   }
   stats_.decisions_received.fetch_add(1, std::memory_order_relaxed);
@@ -399,13 +502,14 @@ bool Server::HandleDecision(Connection* conn, const Frame& frame) {
   std::vector<uint8_t> encoded;
   EncodeDecisionAck(ack, &encoded);
   conn->Complete(seq, std::move(encoded));
-  FlushConnection(conn);
+  FlushConnection(loop, conn);
   return true;
 }
 
-bool Server::HandleInDoubtQuery(Connection* conn, const Frame& frame) {
+bool Server::HandleInDoubtQuery(Loop* loop, Connection* conn,
+                                const Frame& frame) {
   if (frame.body_len != 0) {
-    DropConnection(conn);
+    DropConnection(loop, conn);
     return false;
   }
   const uint64_t seq = conn->AdmitRequest();
@@ -423,16 +527,16 @@ bool Server::HandleInDoubtQuery(Connection* conn, const Frame& frame) {
   std::vector<uint8_t> encoded;
   EncodeInDoubtList(list, &encoded);
   conn->Complete(seq, std::move(encoded));
-  FlushConnection(conn);
+  FlushConnection(loop, conn);
   return true;
 }
 
-StatusCode Server::CheckRunnable(uint32_t proc_id) {
-  if (in_doubt_gate_) {
+StatusCode Server::CheckRunnable(Loop* loop, uint32_t proc_id) {
+  if (loop->in_doubt_gate) {
     // Recovered in-doubt redo applies outside concurrency control, so no
     // transaction may run until the coordinator has resolved every gtid.
     if (engine_->has_in_doubt()) return StatusCode::kUnavailable;
-    in_doubt_gate_ = false;  // Resolved; stop checking per request.
+    loop->in_doubt_gate = false;  // Resolved; stop checking per request.
   }
   if (engine_->GetProcedure(proc_id) == nullptr) return StatusCode::kNotFound;
   return StatusCode::kOk;
@@ -448,25 +552,30 @@ StatusCode Server::Enqueue(WorkQueue* queue, WorkItem* item,
                            bool may_run_inline, int* borrowed_thread) {
   inflight_.fetch_add(1, std::memory_order_relaxed);
   StatusCode code = StatusCode::kOk;
+  bool any_lent = false;
   {
     MutexLock lock(&queue->mu);
     if (queue->stopped) {
       code = StatusCode::kUnavailable;
     } else if (may_run_inline && queue->items.empty() &&
                !queue->parked.empty()) {
-      // Only this thread enqueues, so the parked worker cannot be handed
-      // work while the loop runs under its engine thread id.
+      // The lending rule: out of `parked`, into `lent`, so neither another
+      // loop nor the worker itself runs under the id until it returns.
       *borrowed_thread = queue->parked.back();
+      queue->parked.pop_back();
+      queue->lent.push_back(*borrowed_thread);
     } else if (queue->items.size() >= options_.queue_capacity) {
       // Admission control: the queue is the last bounded stage; shedding
       // load here keeps overload from turning into unbounded memory growth.
       code = StatusCode::kResourceExhausted;
     } else {
       if (item->is_prepare) {
-        prepares_active_.fetch_add(1, std::memory_order_relaxed);
+        // seq_cst: the Dekker pairing with DispatchRequest's inline flag.
+        prepares_active_.fetch_add(1, std::memory_order_seq_cst);
       }
       queue->items.push_back(std::move(*item));
     }
+    any_lent = !queue->lent.empty();
   }
   if (code != StatusCode::kOk) {
     inflight_.fetch_sub(1, std::memory_order_relaxed);
@@ -474,16 +583,34 @@ StatusCode Server::Enqueue(WorkQueue* queue, WorkItem* item,
       stats_.admission_rejects.fetch_add(1, std::memory_order_relaxed);
     }
   } else if (*borrowed_thread < 0) {
-    queue->cv.NotifyOne();
+    // A lent worker would swallow a lone notify without taking the item.
+    if (any_lent) {
+      queue->cv.NotifyAll();
+    } else {
+      queue->cv.NotifyOne();
+    }
   }
   return code;
 }
 
-void Server::DispatchRequest(Connection* conn, Request request) {
+void Server::ReturnThread(WorkQueue* queue, int thread_id) {
+  bool queued = false;
+  {
+    MutexLock lock(&queue->mu);
+    queue->lent.erase(
+        std::find(queue->lent.begin(), queue->lent.end(), thread_id));
+    // Its worker is still waiting on cv: lendable again.
+    queue->parked.push_back(thread_id);
+    queued = !queue->items.empty();
+  }
+  if (queued) queue->cv.NotifyAll();
+}
+
+void Server::DispatchRequest(Loop* loop, Connection* conn, Request request) {
   const uint64_t seq = conn->AdmitRequest();
   Response error;
   error.request_id = request.request_id;
-  error.status = CheckRunnable(request.proc_id);
+  error.status = CheckRunnable(loop, request.proc_id);
   if (error.status == StatusCode::kOk &&
       options_.snapshot_source != nullptr) {
     // Replica role: only read-only procedures, and only if the applied
@@ -503,45 +630,57 @@ void Server::DispatchRequest(Connection* conn, Request request) {
     error.status = StatusCode::kInvalidArgument;
   }
   if (error.status != StatusCode::kOk) {
-    CompleteInline(conn, seq, error);
+    CompleteInline(loop, conn, seq, error);
     return;
   }
-  WorkQueue* queue =
-      queues_[static_cast<size_t>(WorkerForPartitions(request.partitions))]
-          .get();
+  WorkQueue* queue = queues_[static_cast<size_t>(
+      WorkerForPartitions(loop, request.partitions))].get();
   // Run-to-completion (see the file comment): the request-independent
-  // conditions; the queue-state ones are checked under its mutex.
-  const bool may_run_inline =
-      options_.snapshot_source == nullptr &&
-      conn->decoder()->buffered_bytes() == 0 &&
-      prepares_active_.load(std::memory_order_acquire) == 0;
+  // conditions; the queue-state ones are checked under its mutex. The flag
+  // goes up before prepares_active_ is read (Dekker pairing with the
+  // worker's wait before a Prepare), so a Prepare counted later waits for
+  // this run to finish.
+  bool may_run_inline = options_.snapshot_source == nullptr &&
+                        conn->decoder()->buffered_bytes() == 0;
+  if (may_run_inline) {
+    loop->running_inline.store(true, std::memory_order_seq_cst);
+    may_run_inline = prepares_active_.load(std::memory_order_seq_cst) == 0;
+  }
   WorkItem item;
   item.conn_id = conn->id();
   item.seq = seq;
   item.request = std::move(request);
   int borrowed_thread = -1;
   error.status = Enqueue(queue, &item, may_run_inline, &borrowed_thread);
+  if (borrowed_thread < 0) {
+    loop->running_inline.store(false, std::memory_order_release);
+  }
   if (error.status != StatusCode::kOk) {
-    CompleteInline(conn, seq, error);
+    CompleteInline(loop, conn, seq, error);
     return;
   }
   stats_.requests_dispatched.fetch_add(1, std::memory_order_relaxed);
   if (borrowed_thread < 0) return;
   stats_.requests_inline.fetch_add(1, std::memory_order_relaxed);
+  loop->inline_runs.fetch_add(1, std::memory_order_relaxed);
   Completion completion;
-  if (!ExecuteRequest(borrowed_thread, item, &completion)) {
-    return;  // Held until durable; released through DrainCompletions.
-  }
-  inflight_.fetch_sub(1, std::memory_order_relaxed);
+  const bool ready = ExecuteRequest(borrowed_thread, item, &completion);
+  loop->running_inline.store(false, std::memory_order_release);
+  ReturnThread(queue, borrowed_thread);
+  if (!ready) return;  // Held until durable; released through a drain.
   conn->Complete(seq, std::move(completion.encoded));
-  FlushConnection(conn);  // May close `conn`; OnFrames re-finds by id.
+  FlushConnection(loop, conn);  // May close `conn`; OnFrames re-finds by id.
+  // Mid-OnFrames: a paused loop, this one included, resumes from its own
+  // wakeup, never re-entering OnFrames from here.
+  ReleaseInflight(1, nullptr);
 }
 
-int Server::WorkerForPartitions(const std::vector<uint32_t>& partitions) {
+int Server::WorkerForPartitions(Loop* loop,
+                                const std::vector<uint32_t>& partitions) {
   if (!partitioned_dispatch_) return 0;  // Single shared run queue.
   if (partitions.empty()) {
     // Undeclared access locks every partition; spread those across workers.
-    return static_cast<int>(round_robin_++ %
+    return static_cast<int>(loop->round_robin++ %
                             static_cast<uint64_t>(options_.num_workers));
   }
   const uint32_t min_partition =
@@ -550,38 +689,39 @@ int Server::WorkerForPartitions(const std::vector<uint32_t>& partitions) {
                           static_cast<uint32_t>(options_.num_workers));
 }
 
-void Server::CompleteInline(Connection* conn, uint64_t seq,
+void Server::CompleteInline(Loop* loop, Connection* conn, uint64_t seq,
                             const Response& response) {
   std::vector<uint8_t> encoded;
   EncodeResponse(response, &encoded);
   conn->Complete(seq, std::move(encoded));
-  FlushConnection(conn);
+  FlushConnection(loop, conn);
 }
 
-void Server::FlushConnection(Connection* conn) {
-  stats_.responses_sent.fetch_add(loop_->FlushReplies(conn),
+void Server::FlushConnection(Loop* loop, Connection* conn) {
+  stats_.responses_sent.fetch_add(loop->net->FlushReplies(conn),
                                   std::memory_order_relaxed);
 }
 
-bool Server::OnWriteDrained(Connection* conn) {
+bool Server::OnWriteDrained(Loop* loop, Connection* conn) {
   if (conn->shipper() == nullptr) return true;
   const uint64_t conn_id = conn->id();
-  ShipToReplica(conn);
-  return loop_->Find(conn_id) != nullptr;
+  ShipToReplica(loop, conn);
+  return loop->net->Find(conn_id) != nullptr;
 }
 
-void Server::DropConnection(Connection* conn) {
+void Server::DropConnection(Loop* loop, Connection* conn) {
   stats_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
   stats_.connections_dropped.fetch_add(1, std::memory_order_relaxed);
-  loop_->Close(conn);
+  loop->net->Close(conn);
 }
 
-void Server::OnClosed(Connection* conn) {
+void Server::OnClosed(Loop* loop, Connection* conn) {
   if (conn->shipper() == nullptr) return;
+  loop->replicas.fetch_sub(1, std::memory_order_acq_rel);
   const uint32_t remaining =
       replica_count_.fetch_sub(1, std::memory_order_acq_rel) - 1;
   if (options_.repl_ack == ReplAckMode::kSemisync) {
-    RecomputeSemisyncWatermark();
+    RecomputeSemisyncWatermark(loop);
     if (remaining == 0) {
       // Losing the last replica degrades semisync to local durability;
       // otherwise every held reply would wait forever.
@@ -594,83 +734,123 @@ void Server::OnClosed(Connection* conn) {
 }
 
 void Server::PushCompletion(Completion completion) {
+  Loop* loop = LoopOf(completion.conn_id);
   {
-    MutexLock lock(&completions_mu_);
-    completions_.push_back(std::move(completion));
+    MutexLock lock(&loop->completions_mu);
+    loop->completions.push_back(std::move(completion));
   }
-  loop_->Wakeup();
+  loop->net->Wakeup();
 }
 
 void Server::ReleaseDurable(Lsn durable) {
-  bool released = false;
+  std::vector<Completion> released;
   {
     MutexLock held_lock(&held_mu_);
-    MutexLock comp_lock(&completions_mu_);
     while (!held_replies_.empty() && held_replies_.top().lsn <= durable) {
-      completions_.push_back(
+      released.push_back(
           std::move(const_cast<HeldReply&>(held_replies_.top()).completion));
       held_replies_.pop();
-      released = true;
     }
   }
-  if (released) loop_->Wakeup();
+  if (released.empty()) return;
+  std::bitset<(1u << EventLoop::kLoopIndexBits)> woken;
+  for (Completion& completion : released) {
+    Loop* loop = LoopOf(completion.conn_id);
+    const uint32_t index = loop->net->index();
+    {
+      MutexLock lock(&loop->completions_mu);
+      loop->completions.push_back(std::move(completion));
+    }
+    woken.set(index);
+  }
+  for (auto& loop : loops_) {
+    if (woken.test(loop->net->index())) loop->net->Wakeup();
+  }
 }
 
-void Server::DrainCompletions() {
+void Server::DrainCompletions(Loop* loop) {
+  uint32_t drained = 0;
   for (;;) {
     std::deque<Completion> local;
     {
-      MutexLock lock(&completions_mu_);
-      local.swap(completions_);
+      MutexLock lock(&loop->completions_mu);
+      local.swap(loop->completions);
     }
     if (local.empty()) break;
+    drained += static_cast<uint32_t>(local.size());
     for (auto& completion : local) {
-      inflight_.fetch_sub(1, std::memory_order_relaxed);
-      Connection* conn = loop_->Find(completion.conn_id);
+      Connection* conn = loop->net->Find(completion.conn_id);
       if (conn == nullptr) continue;  // Client already gone.
       conn->Complete(completion.seq, std::move(completion.encoded));
-      FlushConnection(conn);  // May close `conn`.
+      FlushConnection(loop, conn);  // May close `conn`.
     }
   }
-  if (reads_paused_ && inflight_.load(std::memory_order_relaxed) <
-                           ResumeWatermark(options_.max_inflight)) {
-    ResumeReads();
+  ReleaseInflight(drained, loop);
+  // Also checked with nothing drained: another loop (or this loop's own
+  // PauseReads) woke this one to resume.
+  if (loop->reads_paused.load(std::memory_order_relaxed) &&
+      inflight_.load(std::memory_order_seq_cst) <
+          ResumeWatermark(options_.max_inflight)) {
+    ResumeReads(loop);
   }
 }
 
-void Server::PauseReads() {
-  if (reads_paused_) return;
-  reads_paused_ = true;
+void Server::ReleaseInflight(uint32_t n, const Loop* self) {
+  const uint32_t now = inflight_.fetch_sub(n, std::memory_order_seq_cst) - n;
+  if (paused_loops_.load(std::memory_order_seq_cst) == 0 ||
+      now >= ResumeWatermark(options_.max_inflight)) {
+    return;
+  }
+  for (auto& other : loops_) {
+    if (other.get() != self &&
+        other->reads_paused.load(std::memory_order_relaxed)) {
+      other->net->Wakeup();  // Its drain resumes it.
+    }
+  }
+}
+
+void Server::PauseReads(Loop* loop) {
+  if (loop->reads_paused.load(std::memory_order_relaxed)) return;
+  loop->reads_paused.store(true, std::memory_order_relaxed);
   // No read is cancelled: outstanding ones complete and simply do not
   // resubmit while paused. Replica connections stay readable: their acks
   // release held semisync replies, which is exactly what drains the
   // budget. Coordinator connections likewise: their decision frames are
   // what un-parks prepared workers.
-  for (auto& [id, conn] : loop_->connections()) {
+  for (auto& [id, conn] : loop->net->connections()) {
     (void)id;
     if (conn->peer() != PeerRole::kReplica &&
         conn->peer() != PeerRole::kCoordinator) {
       conn->set_read_paused(true);
     }
   }
+  // The budget may have drained on another loop since this one read it
+  // full; if so, resume through this loop's own wakeup rather than sleep
+  // paused with nothing of its own in flight.
+  paused_loops_.fetch_add(1, std::memory_order_seq_cst);
+  if (inflight_.load(std::memory_order_seq_cst) <
+      ResumeWatermark(options_.max_inflight)) {
+    loop->net->Wakeup();
+  }
 }
 
-void Server::ResumeReads() {
-  reads_paused_ = false;
+void Server::ResumeReads(Loop* loop) {
+  loop->reads_paused.store(false, std::memory_order_relaxed);
+  paused_loops_.fetch_sub(1, std::memory_order_seq_cst);
   std::vector<uint64_t> ids;
-  ids.reserve(loop_->connections().size());
-  for (auto& [id, conn] : loop_->connections()) {
+  ids.reserve(loop->net->connections().size());
+  for (auto& [id, conn] : loop->net->connections()) {
     (void)conn;
     ids.push_back(id);
   }
   for (uint64_t id : ids) {
-    Connection* conn = loop_->Find(id);
+    Connection* conn = loop->net->Find(id);
     if (conn == nullptr) continue;
     conn->set_read_paused(false);
     // Frames decoded before the pause may still be buffered; re-admit them
     // now (this may re-pause, in which case stop).
-    if (OnFrames(conn)) loop_->StartRead(conn);
-    if (reads_paused_) break;
+    if (OnFrames(loop, conn)) loop->net->StartRead(conn);
+    if (loop->reads_paused.load(std::memory_order_relaxed)) break;
   }
 }
 
@@ -682,18 +862,29 @@ void Server::WorkerLoop(int worker_id) {
     WorkItem item;
     {
       MutexLock lock(&queue->mu);
-      while (!queue->stopped && queue->items.empty()) {
-        // While parked, the event loop may run a request under this id.
-        queue->parked.push_back(worker_id);
+      while (!queue->stopped &&
+             (queue->items.empty() || queue->IsLent(worker_id))) {
+        // While parked, a loop may borrow this id (moving it to `lent`);
+        // while lent, this worker waits for it to come back.
+        if (!queue->IsLent(worker_id)) queue->parked.push_back(worker_id);
         queue->cv.Wait(&queue->mu);
-        queue->parked.erase(std::find(queue->parked.begin(),
-                                      queue->parked.end(), worker_id));
+        const auto it = std::find(queue->parked.begin(), queue->parked.end(),
+                                  worker_id);
+        if (it != queue->parked.end()) queue->parked.erase(it);
       }
       if (queue->stopped) return;  // Remaining replies are dropped at Stop.
       item = std::move(queue->items.front());
       queue->items.pop_front();
     }
     if (item.is_prepare) {
+      // Inline runs that began before this Prepare was counted finish
+      // first: they could otherwise meet the branch's locks, which only a
+      // decision frame releases.
+      for (const auto& loop : loops_) {
+        while (loop->running_inline.load(std::memory_order_seq_cst)) {
+          std::this_thread::yield();
+        }
+      }
       RunPrepare(worker_id, &item);
       prepares_active_.fetch_sub(1, std::memory_order_release);
       continue;

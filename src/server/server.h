@@ -7,12 +7,15 @@
 ///
 /// Architecture (one process):
 ///
-///   event-loop thread    a server::EventLoop (event_loop.h, shared with
-///                        the shard router): owns the sockets, the io
-///                        backend and reply gathering; the server's hooks
-///                        decode frames, dispatch, and release ordered
-///                        responses; runs a request itself when a worker
-///                        would sit idle anyway (run-to-completion, below)
+///   event loops          a server::EventLoopGroup of N loops (event_loop.h,
+///                        shared with the shard router; N = num_loops).
+///                        Loop 0 deals accepted connections round-robin;
+///                        each loop owns its connections, io backend, reply
+///                        gathering, completion queue, read-pause flag and
+///                        in-doubt latch. The server's hooks decode frames,
+///                        dispatch, and release ordered responses; a loop
+///                        runs a request itself when a worker would sit
+///                        idle anyway (run-to-completion, below)
 ///   worker pool          executes stored procedures via
 ///                        Engine::RunProcedureDeferred; per-partition
 ///                        queue affinity for H-Store compositions
@@ -23,6 +26,11 @@
 ///                        held responses when their commit LSN becomes
 ///                        durable — a client never observes a commit the
 ///                        log could still lose
+///
+/// Server-wide across the loops: the in-flight budget, the held replies,
+/// the prepared branches and the prepare count. A reply produced off its
+/// loop (a worker's, a released held reply, a DecisionAck) goes to the
+/// loop its connection id names and wakes only that loop.
 ///
 /// Run-to-completion: handing a few-microsecond transaction to a sleeping
 /// worker costs two cross-thread wake-ups, a futex wake there and an
@@ -37,15 +45,19 @@
 ///    transaction that met one of those locks (OCC spins on it, 2PL waits)
 ///    would wedge the loop that has to deliver the decision;
 ///  - the server is not a replica (replicas keep worker dispatch).
-/// The loop then runs under the engine thread id of the parked worker,
-/// borrowed under the queue's mutex, so EngineOptions::max_threads ==
-/// num_workers stays valid and H-Store keeps its partition -> worker
-/// mapping. Borrowing is safe because only the loop enqueues: while it
-/// holds the slot, that worker cannot be handed work. Workers and the loop
-/// share one execution path (ExecuteRequest), so held-reply durability,
-/// admission (the in-flight budget), in-doubt fencing and per-connection
-/// reply order are the same either way; an inline reply that need not wait
-/// for the log goes out in the same reap batch.
+/// The loop then runs under the engine thread id of the parked worker, so
+/// EngineOptions::max_threads == num_workers stays valid and H-Store keeps
+/// its partition -> worker mapping. Lending rule: the loop takes the id out
+/// of the queue's parked list and marks it lent, both under the queue's
+/// mutex, so no other loop can borrow it; a lent worker takes no item
+/// until the loop returns the id (and notifies it if items are queued).
+/// A worker that starts a Prepare first waits out the inline runs that
+/// began before the Prepare was counted, so no inline transaction can meet
+/// a prepared branch's lock. Workers and the loops share one execution
+/// path (ExecuteRequest), so held-reply durability, admission (the
+/// in-flight budget), in-doubt fencing and per-connection reply order are
+/// the same either way; an inline reply that need not wait for the log
+/// goes out in the same reap batch.
 ///
 /// I/O batching: responses completed during one reap batch queue on their
 /// connections and leave as one writev per connection at batch end (see
@@ -53,8 +65,10 @@
 /// LogManager's private ring) the group-commit flush.
 ///
 /// Admission control: a bounded server-wide in-flight budget. When the
-/// budget fills the event loop stops resubmitting socket reads
-/// (backpressure through TCP); requests already decoded that overflow a
+/// budget fills a loop stops resubmitting socket reads (backpressure
+/// through TCP); whichever loop drains the budget below the resume
+/// watermark resumes every paused loop, so no loop sleeps paused with
+/// nothing of its own in flight. Requests already decoded that overflow a
 /// worker queue are answered with kResourceExhausted instead of growing
 /// the queue. Replica connections are exempt from read pausing: their
 /// acks release held semisync replies, so throttling them could deadlock
@@ -92,6 +106,7 @@
 /// like replicas: their decision frames are what un-parks workers, so
 /// throttling them could deadlock the budget.
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -146,9 +161,12 @@ struct ServerOptions {
   /// 0 binds an ephemeral port; the bound port is available via port().
   uint16_t port = 0;
   /// Worker pool size; the engine must be built with max_threads >= this,
-  /// and no other thread may use engine thread ids [0, num_workers) (the
+  /// and no other thread may use engine thread ids [0, num_workers) (an
   /// event loop borrows a parked worker's id to run a request itself).
   int num_workers = 4;
+  /// Event loops; 0 = auto: min(num_workers,
+  /// EventLoopGroup::DefaultLoopCount()), one per two CPUs.
+  int num_loops = 0;
   /// Server-wide budget of decoded-but-unanswered requests. Reads pause
   /// when it fills.
   uint32_t max_inflight = 256;
@@ -173,9 +191,9 @@ struct ServerOptions {
 
 /// Monotonic counters, updated with relaxed atomics (read for reports).
 /// The first group (and the LoopStats base: accept_errors, writev_batches,
-/// frames_batched) is written only by the event-loop thread; the counter
+/// frames_batched) is written only by the event loops; the counter
 /// written by whichever thread executed a request sits on its own cache
-/// line so workers never invalidate the loop's line.
+/// line so workers never invalidate the loops' line.
 struct ServerStats : LoopStats {
   std::atomic<uint64_t> connections_accepted{0};
   std::atomic<uint64_t> requests_dispatched{0};
@@ -199,7 +217,7 @@ struct ServerStats : LoopStats {
   std::atomic<uint64_t> replies_held_durable{0};  // Waited on the flusher.
 };
 
-class Server : private EventLoop::Handler {
+class Server {
  public:
   /// `engine` must outlive the server. Procedures must be registered (and
   /// data loaded) before Start(); registration is not thread-safe.
@@ -208,7 +226,7 @@ class Server : private EventLoop::Handler {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds, listens, builds the io backend, and starts the event loop +
+  /// Binds, listens, builds the io backends, and starts the event loops +
   /// workers. Fails if options.io_backend = kUring on a kernel without a
   /// usable io_uring, or if the listener cannot be bound or armed.
   Status Start();
@@ -221,17 +239,27 @@ class Server : private EventLoop::Handler {
   uint16_t port() const { return bound_port_; }
 
   const ServerStats& stats() const { return stats_; }
-  /// Network-path io counters (null before Start / after Stop).
-  const io::IoCounters* io_counters() const {
-    return loop_ == nullptr ? nullptr : &loop_->io().counters();
-  }
+  /// Network-path io counters summed over the loops, refreshed by each call
+  /// (null before Start / after Stop).
+  const io::IoCounters* io_counters() const;
   /// Resolved backend: "uring" or "epoll" ("none" before Start).
   const char* io_backend_name() const {
-    return loop_ == nullptr ? "none" : loop_->io().name();
+    return group_ == nullptr ? "none" : group_->loop(0)->io().name();
   }
+  /// Resolved event-loop count (after Start()).
+  size_t num_loops() const { return loops_.size(); }
+  /// Connections loop `index` adopted, and requests it ran itself.
+  struct LoopCounts {
+    uint64_t accepted = 0;
+    uint64_t inline_runs = 0;
+  };
+  LoopCounts loop_counts(size_t index) const;
   Engine* engine() { return engine_; }
 
  private:
+  /// One loop's hooks and the state it owns (defined in server.cc).
+  struct Loop;
+
   struct WorkItem {
     uint64_t conn_id;
     uint64_t seq;
@@ -242,11 +270,11 @@ class Server : private EventLoop::Handler {
     Prepare prepare;
   };
 
-  /// One undecided branch, keyed by gtid in prepared_. The event loop
-  /// registers it when it admits the Prepare; the worker parks on
-  /// prepared_cv_ after pushing a yes Vote, and the event loop fills in the
-  /// decision and wakes it. A decision may land before the branch has
-  /// voted (an in-doubt sweep can only abort it then).
+  /// One undecided branch, keyed by gtid in prepared_. A loop registers it
+  /// when it admits the Prepare; the worker parks on prepared_cv_ after
+  /// pushing a yes Vote, and the loop that reads the decision fills it in
+  /// and wakes it. A decision may land before the branch has voted (an
+  /// in-doubt sweep can only abort it then).
   struct PreparedTxn {
     bool decided = false;
     bool commit = false;
@@ -256,16 +284,23 @@ class Server : private EventLoop::Handler {
     uint64_t decision_seq = 0;
   };
 
-  // Cache-aligned so adjacent queues (each bounced between the event loop
-  // and one worker) never share a line through their heap blocks.
+  // Cache-aligned so adjacent queues (each bounced between the loops and
+  // its workers) never share a line through their heap blocks.
   struct NEXT700_CACHE_ALIGNED WorkQueue {
     Mutex mu;
     CondVar cv;
     std::deque<WorkItem> items GUARDED_BY(mu);
-    /// Engine thread ids of this queue's workers waiting on cv: the ids
-    /// the event loop may borrow to run a request itself.
+    /// Engine thread ids of this queue's workers waiting on cv that a loop
+    /// may borrow to run a request itself.
     std::vector<int> parked GUARDED_BY(mu);
+    /// Borrowed ids: their workers take no item until the loop returns
+    /// them.
+    std::vector<int> lent GUARDED_BY(mu);
     bool stopped GUARDED_BY(mu) = false;
+
+    bool IsLent(int thread_id) const REQUIRES(mu) {
+      return std::find(lent.begin(), lent.end(), thread_id) != lent.end();
+    }
   };
 
   struct Completion {
@@ -280,24 +315,24 @@ class Server : private EventLoop::Handler {
     bool operator>(const HeldReply& other) const { return lsn > other.lsn; }
   };
 
-  // EventLoop::Handler hooks (event-loop thread).
-  void OnAccept(int fd) override;
+  // Loop hooks (on `loop`'s thread).
+  void OnAccepted(Loop* loop, Connection* conn);
   /// Decodes and dispatches buffered frames until the stream is drained,
   /// the budget fills, or the stream turns out to be corrupt. Returns false
   /// if it closed `conn`.
-  bool OnFrames(Connection* conn) override;
+  bool OnFrames(Loop* loop, Connection* conn);
   /// A drained replica socket reopens the shipping window.
-  bool OnWriteDrained(Connection* conn) override;
+  bool OnWriteDrained(Loop* loop, Connection* conn);
   /// Replica accounting when a subscribed replica leaves.
-  void OnClosed(Connection* conn) override;
-  /// Worker completions, released replies and replica shipping.
-  void OnWakeup() override;
+  void OnClosed(Loop* loop, Connection* conn);
+  /// Completions, released replies, replica shipping and read resumption.
+  void OnWakeup(Loop* loop);
 
   void WorkerLoop(int worker_id);
   /// Runs one Request item as engine thread `thread_id` (a worker's own id,
-  /// or one the event loop borrowed) and encodes its reply. Returns true
-  /// with `*ready` filled when the reply may go out now; false when the
-  /// reply was parked until its commit LSN is durable.
+  /// or one a loop borrowed) and encodes its reply. Returns true with
+  /// `*ready` filled when the reply may go out now; false when the reply
+  /// was parked until its commit LSN is durable.
   bool ExecuteRequest(int thread_id, const WorkItem& item,
                       Completion* ready);
   /// Group-commit-aware reply release: parks `*completion` in
@@ -309,69 +344,80 @@ class Server : private EventLoop::Handler {
   /// Pre-handshake frame handling: accepts exactly one valid Hello, sends
   /// the HelloAck, and records the peer role. Returns false if the
   /// connection was closed (mixed-version or non-next700 peer).
-  bool HandleHello(Connection* conn, const Frame& frame);
+  bool HandleHello(Loop* loop, Connection* conn, const Frame& frame);
   /// A subscribed replica's cumulative progress ack (or its initial
   /// subscription naming the start LSN). Returns false if closed.
-  bool HandleReplAck(Connection* conn, const Frame& frame);
+  bool HandleReplAck(Loop* loop, Connection* conn, const Frame& frame);
   /// 2PC frames from a coordinator peer (Prepare, decisions, InDoubtQuery).
   /// Each returns false if the connection was closed.
-  bool HandleCoordinatorFrame(Connection* conn, const Frame& frame);
-  bool HandlePrepare(Connection* conn, const Frame& frame);
-  bool HandleDecision(Connection* conn, const Frame& frame);
-  bool HandleInDoubtQuery(Connection* conn, const Frame& frame);
+  bool HandleCoordinatorFrame(Loop* loop, Connection* conn,
+                              const Frame& frame);
+  bool HandlePrepare(Loop* loop, Connection* conn, const Frame& frame);
+  bool HandleDecision(Loop* loop, Connection* conn, const Frame& frame);
+  bool HandleInDoubtQuery(Loop* loop, Connection* conn, const Frame& frame);
   /// Worker-side execution of one Prepare item: run the procedure,
   /// Engine::Prepare, vote, park for the decision, apply it, ack.
   void RunPrepare(int worker_id, WorkItem* item);
-  void DispatchRequest(Connection* conn, Request request);
+  void DispatchRequest(Loop* loop, Connection* conn, Request request);
   /// The checks Requests and Prepares share: kUnavailable while recovered
   /// in-doubt transactions are unresolved, kNotFound for an unknown
   /// procedure, else kOk.
-  StatusCode CheckRunnable(uint32_t proc_id);
+  StatusCode CheckRunnable(Loop* loop, uint32_t proc_id);
   bool PartitionsInRange(const std::vector<uint32_t>& partitions) const;
   /// Takes an in-flight slot and queues `*item`, or returns why not:
   /// kUnavailable once stopped, kResourceExhausted (an admission reject)
   /// when full. With `may_run_inline`, an empty queue with a parked worker
   /// instead lends that worker's engine thread id through
-  /// `*borrowed_thread` (initially -1) and leaves `*item` to the caller.
+  /// `*borrowed_thread` (initially -1) and leaves `*item` to the caller,
+  /// who hands the id back through ReturnThread.
   StatusCode Enqueue(WorkQueue* queue, WorkItem* item, bool may_run_inline,
                      int* borrowed_thread);
-  /// Answers `seq` on `conn` directly from the event loop (protocol errors,
+  void ReturnThread(WorkQueue* queue, int thread_id);
+  /// Answers `seq` on `conn` directly from its loop (protocol errors,
   /// admission rejects) without a round trip through the worker pool.
-  void CompleteInline(Connection* conn, uint64_t seq,
+  void CompleteInline(Loop* loop, Connection* conn, uint64_t seq,
                       const Response& response);
   /// Releases ordered responses into the outbound queue and marks the
   /// connection dirty (actual writev happens at batch end).
-  void FlushConnection(Connection* conn);
+  void FlushConnection(Loop* loop, Connection* conn);
   /// Counts a dropped stream (protocol error) and closes it.
-  void DropConnection(Connection* conn);
+  void DropConnection(Loop* loop, Connection* conn);
 
   /// Ships durable log bytes to one subscribed replica until its write
   /// buffer reaches the shipping window or the log is drained. May close
   /// the connection (socket error, or the cursor fell behind the retired
   /// log prefix and the replica must re-bootstrap).
-  void ShipToReplica(Connection* conn);
-  /// Ships to every subscribed replica (durable-callback wakeups).
-  void ShipAll();
-  /// Recomputes the semisync watermark (max acked-durable LSN over
-  /// subscribed replicas) after an ack or a replica departure.
-  void RecomputeSemisyncWatermark();
+  void ShipToReplica(Loop* loop, Connection* conn);
+  /// Ships to every replica subscribed on `loop` (durable-callback
+  /// wakeups).
+  void ShipAll(Loop* loop);
+  /// Recomputes `loop`'s max acked-durable LSN over its replicas, then the
+  /// server-wide semisync watermark (the max over loops), after an ack or
+  /// a replica departure.
+  void RecomputeSemisyncWatermark(Loop* loop);
   /// The LSN up to which replies may be released given local durability
   /// `durable`: durable itself in async/replica roles, min(durable,
   /// semisync watermark) in semisync mode with replicas subscribed.
   /// Callable from any thread.
   Lsn ReleaseWatermark(Lsn durable) const;
 
-  /// Worker -> event loop handoff (thread-safe; wakes the loop through
-  /// the backend's Wakeup, the only cross-thread entry point).
+  /// The loop that owns connection `conn_id`.
+  Loop* LoopOf(uint64_t conn_id) const;
+  /// Any thread -> the owning loop: queues the reply and wakes that loop.
   void PushCompletion(Completion completion);
-  /// Moves every held reply with lsn <= durable into the completion queue.
+  /// Moves every held reply with lsn <= durable to its loop, waking only
+  /// the loops that received one.
   void ReleaseDurable(Lsn durable);
-  void DrainCompletions();
+  void DrainCompletions(Loop* loop);
+  /// Gives `n` in-flight slots back (on a loop thread); once the budget is
+  /// below the resume watermark, wakes every paused loop but `self`, whose
+  /// drain resumes it.
+  void ReleaseInflight(uint32_t n, const Loop* self);
 
-  void PauseReads();
-  void ResumeReads();
+  void PauseReads(Loop* loop);
+  void ResumeReads(Loop* loop);
 
-  int WorkerForPartitions(const std::vector<uint32_t>& partitions);
+  int WorkerForPartitions(Loop* loop, const std::vector<uint32_t>& partitions);
 
   Engine* engine_;
   ServerOptions options_;
@@ -380,45 +426,39 @@ class Server : private EventLoop::Handler {
   uint16_t bound_port_ = 0;
   std::atomic<bool> running_{false};
 
-  /// The connection loop: every socket in this server. Its Wakeup() is the
-  /// one thread-safe entry (workers, log flusher).
-  std::unique_ptr<EventLoop> loop_;
+  /// The loops' hooks and state (index == loop index), and the group that
+  /// runs them: every socket in this server. Each loop's Wakeup() is the
+  /// thread-safe entry (workers, the log flusher, other loops).
+  std::vector<std::unique_ptr<Loop>> loops_;
+  std::unique_ptr<EventLoopGroup> group_;
+  mutable io::IoCounters io_totals_;
 
   std::vector<std::thread> workers_;
   std::vector<std::unique_ptr<WorkQueue>> queues_;
   bool partitioned_dispatch_ = false;
-  uint64_t round_robin_ = 0;
 
-  bool reads_paused_ = false;
-  /// Event-loop-owned latch over the recovered in-doubt gate: true while
-  /// Engine::has_in_doubt() might still hold, so the steady state never
-  /// takes the engine's in-doubt mutex per request. Transitions only
-  /// true -> false.
-  bool in_doubt_gate_ = false;
-
-  /// Subscribed replicas (shipper attached). Written by the event loop;
-  /// read by the flusher callback and workers for semisync gating.
+  /// Subscribed replicas over all loops. Written by the loops; read by the
+  /// flusher callback and workers for semisync gating.
   std::atomic<uint32_t> replica_count_{0};
-  /// Max acked-durable LSN across subscribed replicas (event-loop written).
+  /// Max acked-durable LSN across subscribed replicas (loop-written).
   std::atomic<Lsn> semisync_watermark_{0};
-  /// Flusher -> event loop: new durable bytes are ready to ship.
-  std::atomic<bool> ship_pending_{false};
+  /// Serializes the max over loops that sets semisync_watermark_.
+  Mutex semisync_mu_;
 
-  // The admission counter is hit by the event loop (admit) and every worker
-  // (release); keep it off the lines holding loop-only state above and the
-  // completion queue below.
+  // The admission counter is hit by every loop (admit) and every worker's
+  // completion (release); keep it off the lines holding the state above.
   NEXT700_CACHE_ALIGNED std::atomic<uint32_t> inflight_{0};
+  /// Loops paused on the budget (Dekker pairing with inflight_: a pausing
+  /// loop raises it and re-reads inflight_, a releasing loop lowers
+  /// inflight_ and reads it, so one of them sees the other).
+  std::atomic<uint32_t> paused_loops_{0};
 
-  NEXT700_CACHE_ALIGNED Mutex completions_mu_;
-  std::deque<Completion> completions_ GUARDED_BY(completions_mu_);
-
-  // Lock order: held_mu_ before completions_mu_ (ReleaseDurable nests them).
-  Mutex held_mu_ ACQUIRED_BEFORE(completions_mu_);
+  Mutex held_mu_;
   std::priority_queue<HeldReply, std::vector<HeldReply>,
                       std::greater<HeldReply>>
       held_replies_ GUARDED_BY(held_mu_);
 
-  // Undecided branches (event loop registers and decides; workers park).
+  // Undecided branches (loops register and decide; workers park).
   // Never nested with the other server mutexes.
   Mutex prepared_mu_;
   CondVar prepared_cv_;
@@ -429,10 +469,10 @@ class Server : private EventLoop::Handler {
   bool prepared_stop_ GUARDED_BY(prepared_mu_) = false;
   /// Successful prepares so far (the crash_after_prepares trigger).
   std::atomic<uint64_t> prepares_done_{0};
-  /// Prepares queued, running or parked: the event loop runs no request
-  /// itself while this is nonzero (it could meet a prepared branch's lock).
-  /// Raised only by the loop at enqueue, lowered by the worker once the
-  /// branch has released its locks.
+  /// Prepares queued, running or parked: no loop runs a request itself
+  /// while this is nonzero (it could meet a prepared branch's lock).
+  /// Raised by a loop at enqueue, lowered by the worker once the branch
+  /// has released its locks.
   std::atomic<uint32_t> prepares_active_{0};
 };
 

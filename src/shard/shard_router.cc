@@ -1,13 +1,11 @@
 #include "shard/shard_router.h"
 
 #include <sys/stat.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <deque>
-#include <thread>
 #include <unordered_map>
 
 #include "common/macros.h"
@@ -79,22 +77,14 @@ std::vector<uint8_t> EncodeReply(uint64_t request_id, StatusCode status,
 }  // namespace
 
 /// A cross-shard kKvRmw on its way to loop 0's 2PC. Identifies the reply
-/// slot by (loop, session id, ticket) — never by pointer, so a session
-/// that dies mid-2PC just drops the result.
+/// slot by (session id, ticket) — never by pointer, so a session that dies
+/// mid-2PC just drops the result; the id names the session's loop.
 struct ShardRouter::CrossShardJob {
-  uint32_t loop_index = 0;
   uint64_t session_id = 0;
   uint64_t ticket = 0;
   uint64_t request_id = 0;
   /// Per-shard key slices (index == shard id; empty == not a participant).
   std::vector<std::vector<uint64_t>> shard_keys;
-};
-
-/// A finished 2PC reply, posted to the session's loop.
-struct ShardRouter::CrossShardResult {
-  uint64_t session_id = 0;
-  uint64_t ticket = 0;
-  std::vector<uint8_t> encoded;
 };
 
 /// One connection from an event loop to a shard server: the loop's
@@ -156,21 +146,15 @@ struct ShardRouter::CrossShardTxn {
   }
 };
 
-/// One event-loop thread: a connection loop holding every session and
-/// shard link it owns, and the hooks that give them their protocol. Only
-/// the owning thread touches anything outside `mu`; other threads reach in
-/// through the inbox + Wakeup. Loop 0 also runs every cross-shard 2PC.
+/// The hooks of one group loop: every session and shard link it owns, and
+/// the protocol they speak. Only the loop's thread touches this; other
+/// threads reach it through the loop's Post(). Loop 0 also runs every
+/// cross-shard 2PC.
 struct ShardRouter::RouterLoop : server::EventLoop::Handler {
   ShardRouter* router = nullptr;
   uint32_t index = 0;
-  std::unique_ptr<server::EventLoop> net;
+  server::EventLoop* net = nullptr;  // Owned by the router's group.
   std::vector<std::unique_ptr<ShardLink>> links;  // index == shard id
-
-  // Cross-thread inbox, drained on Op::kWakeup.
-  Mutex mu;
-  std::vector<int> pending_fds GUARDED_BY(mu);
-  std::vector<CrossShardResult> pending_results GUARDED_BY(mu);
-  std::vector<CrossShardJob> pending_jobs GUARDED_BY(mu);  // Loop 0 only.
 
   // Loop 0's 2PC state.
   std::deque<CrossShardJob> waiting;  // Beyond the cap, in arrival order.
@@ -187,8 +171,9 @@ struct ShardRouter::RouterLoop : server::EventLoop::Handler {
     return nullptr;
   }
 
-  /// Loop 0's accepts, round-robined across loops.
-  void OnAccept(int fd) override;
+  void OnAccepted(server::Connection*) override {
+    router->stats_.sessions_accepted.fetch_add(1, std::memory_order_relaxed);
+  }
   bool OnFrames(server::Connection* conn) override {
     if (ShardLink* link = LinkOf(conn)) {
       return router->DrainLinkFrames(this, link);
@@ -217,9 +202,10 @@ struct ShardRouter::RouterLoop : server::EventLoop::Handler {
     // resolve to nothing at lookup time — no dangling state.
     router->stats_.sessions_closed.fetch_add(1, std::memory_order_relaxed);
   }
-  /// Adopts handed-over sessions, slots in finished 2PC replies and, on
-  /// loop 0, takes over 2PC jobs and decisions the log made durable.
-  void OnWakeup() override;
+  /// Loop 0: decisions the log made durable (its flusher wakes loop 0).
+  void OnWakeup() override {
+    if (index == 0) router->CheckDecisionLog(this);
+  }
   /// 2PC deadlines (loop 0); returns the earliest remaining one.
   uint64_t RunTimers(uint64_t now_ms) override {
     return index == 0 ? router->RunCrossShardTimers(this, now_ms)
@@ -258,16 +244,21 @@ Status ShardRouter::Start() {
 
   // Event loops (and their backends) before the listen socket so a
   // backend-creation failure (kUring on an old kernel) leaks nothing.
-  const uint32_t nloops =
-      options_.num_loops > 0
-          ? static_cast<uint32_t>(options_.num_loops)
-          : std::max(1u, std::min(4u, std::thread::hardware_concurrency() / 2));
-  for (uint32_t i = 0; i < nloops; ++i) {
+  const int nloops = options_.num_loops > 0
+                         ? options_.num_loops
+                         : server::EventLoopGroup::DefaultLoopCount();
+  std::vector<server::EventLoop::Handler*> handlers;
+  for (int i = 0; i < nloops; ++i) {
     auto loop = std::make_unique<RouterLoop>();
     loop->router = this;
-    loop->index = i;
-    NEXT700_RETURN_IF_ERROR(server::EventLoop::Create(
-        options_.io_backend, loop.get(), &stats_, &loop->net));
+    loop->index = static_cast<uint32_t>(i);
+    handlers.push_back(loop.get());
+    loops_.push_back(std::move(loop));
+  }
+  NEXT700_RETURN_IF_ERROR(server::EventLoopGroup::Create(
+      options_.io_backend, handlers, &stats_, &group_));
+  for (auto& loop : loops_) loop->net = group_->loop(loop->index);
+  for (auto& loop : loops_) {
     for (uint32_t s = 0; s < num_shards(); ++s) {
       // Dialed in shard order: the peer index is the shard id.
       NEXT700_RETURN_IF_ERROR(loop->net->Dial(options_.shards[s]));
@@ -275,12 +266,10 @@ Status ShardRouter::Start() {
       link->shard_id = s;
       loop->links.push_back(std::move(link));
     }
-    loops_.push_back(std::move(loop));
   }
-  // Loop 0 owns the listener.
   NEXT700_RETURN_IF_ERROR(
-      loops_[0]->net->Listen(options_.listen_host, options_.listen_port));
-  port_ = loops_[0]->net->port();
+      group_->Listen(options_.listen_host, options_.listen_port));
+  port_ = group_->port();
 
   stop_.store(false, std::memory_order_release);
   {
@@ -290,16 +279,17 @@ Status ShardRouter::Start() {
   }
   // A flush (or a decision-log failure) wakes loop 0, which re-checks the
   // decisions it is waiting on.
-  server::EventLoop* coordinator = loops_[0]->net.get();
+  server::EventLoop* coordinator = loops_[0]->net;
   decision_log_->SetDurableCallback(
       [coordinator](Lsn) { coordinator->Wakeup(); });
-  for (auto& loop : loops_) loop->net->Start();
+  group_->Start("n7-rloop");
   running_ = true;
   return Status::OK();
 }
 
 void ShardRouter::Stop() {
-  if (loops_.empty()) {
+  if (group_ == nullptr) {
+    loops_.clear();
     if (decision_log_ != nullptr) decision_log_->Close();
     return;
   }
@@ -322,7 +312,7 @@ void ShardRouter::Stop() {
   // Returns once an in-flight callback finished: the flusher no longer
   // wakes a loop that is going away.
   decision_log_->SetDurableCallback(nullptr);
-  for (auto& loop : loops_) loop->net->Stop();
+  group_->Stop();
 
   // Loop threads are joined: this thread owns their state now. 2PC still
   // in flight past the drain deadline dies here; its prepared branches
@@ -332,15 +322,13 @@ void ShardRouter::Stop() {
       if (loop->LinkOf(entry.second.get()) != nullptr) continue;
       stats_.sessions_closed.fetch_add(1, std::memory_order_relaxed);
     }
-    {
-      MutexLock lock(&loop->mu);
-      for (const int fd : loop->pending_fds) ::close(fd);
-    }
-    io_syscalls_retired_.fetch_add(
-        loop->net->io().counters().syscalls.load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
   }
-  loops_.clear();  // Closes every session, link and the listener.
+  io::IoCounters live;
+  group_->SumIoCounters(&live);
+  io_syscalls_retired_.fetch_add(live.syscalls.load(std::memory_order_relaxed),
+                                 std::memory_order_relaxed);
+  group_.reset();  // Closes every session, link and the listener.
+  loops_.clear();
   decision_log_->Close();
   running_ = false;
 }
@@ -361,52 +349,12 @@ bool ShardRouter::WaitShardsConnected(int64_t timeout_ms) {
 
 uint64_t ShardRouter::io_syscalls() const {
   uint64_t total = io_syscalls_retired_.load(std::memory_order_relaxed);
-  for (const auto& loop : loops_) {
-    total += loop->net->io().counters().syscalls.load(std::memory_order_relaxed);
+  if (group_ != nullptr) {
+    io::IoCounters live;
+    group_->SumIoCounters(&live);
+    total += live.syscalls.load(std::memory_order_relaxed);
   }
   return total;
-}
-
-// --- Event loop hooks ---------------------------------------------------
-
-void ShardRouter::RouterLoop::OnWakeup() {
-  std::vector<int> fds;
-  std::vector<CrossShardResult> results;
-  std::vector<CrossShardJob> jobs;
-  {
-    MutexLock lock(&mu);
-    fds.swap(pending_fds);
-    results.swap(pending_results);
-    jobs.swap(pending_jobs);
-  }
-  for (const int fd : fds) {
-    router->stats_.sessions_accepted.fetch_add(1, std::memory_order_relaxed);
-    net->Adopt(fd);
-  }
-  for (CrossShardResult& result : results) {
-    router->CompleteResult(this, std::move(result));
-  }
-  if (index != 0) return;
-  for (CrossShardJob& job : jobs) waiting.push_back(std::move(job));
-  router->StartWaiting(this);
-  router->CheckDecisionLog(this);
-}
-
-void ShardRouter::RouterLoop::OnAccept(int fd) {
-  const uint32_t target_index =
-      router->accept_rr_.fetch_add(1, std::memory_order_relaxed) %
-      static_cast<uint32_t>(router->loops_.size());
-  RouterLoop* target = router->loops_[target_index].get();
-  if (target == this) {
-    router->stats_.sessions_accepted.fetch_add(1, std::memory_order_relaxed);
-    net->Adopt(fd);
-    return;
-  }
-  {
-    MutexLock lock(&target->mu);
-    target->pending_fds.push_back(fd);
-  }
-  target->net->Wakeup();
 }
 
 // --- Client sessions -----------------------------------------------------
@@ -501,19 +449,18 @@ void ShardRouter::RouteRequest(RouterLoop* loop, server::Connection* conn,
   }
   // Cross-shard: loop 0 runs the 2PC; the reply comes back through this
   // loop's inbox and the session's reorder buffer slots it into order.
-  CrossShardJob job{loop->index, conn->id(), ticket, request.request_id,
+  CrossShardJob job{conn->id(), ticket, request.request_id,
                     std::move(shard_keys)};
   RouterLoop* coordinator = loops_[0].get();
+  auto start = [this, coordinator, job = std::move(job)]() mutable {
+    coordinator->waiting.push_back(std::move(job));
+    StartWaiting(coordinator);
+  };
   if (loop == coordinator) {
-    loop->waiting.push_back(std::move(job));
-    StartWaiting(loop);
-    return;
+    start();
+  } else {
+    coordinator->net->Post(std::move(start));
   }
-  {
-    MutexLock lock(&coordinator->mu);
-    coordinator->pending_jobs.push_back(std::move(job));
-  }
-  coordinator->net->Wakeup();
 }
 
 void ShardRouter::StageForward(RouterLoop* loop, server::Connection* conn,
@@ -532,7 +479,7 @@ void ShardRouter::StageForward(RouterLoop* loop, server::Connection* conn,
   AppendFrame(frame.type, frame.body, frame.body_len, &bytes);
   // Every forward staged on this link within one reap batch rides the
   // same gather write — the fast path's syscall budget.
-  link->Send(loop->net.get(), bytes,
+  link->Send(loop->net, bytes,
              Expectation{Kind::kForward, false, 0, conn->id(), ticket,
                          request_id});
   stats_.forwarded.fetch_add(1, std::memory_order_relaxed);
@@ -583,7 +530,7 @@ bool ShardRouter::HandleLinkFrame(RouterLoop* loop, ShardLink* link,
       server::EncodeDecision(
           commit ? FrameType::kCommitDecision : FrameType::kAbortDecision,
           decision, &enc);
-      link->Send(loop->net.get(), enc, Expectation{Kind::kAck, true, gtid});
+      link->Send(loop->net, enc, Expectation{Kind::kAck, true, gtid});
       ++link->resolve_pending;
     }
     if (link->resolve_pending == 0) LinkUp(loop, link);
@@ -747,7 +694,7 @@ void ShardRouter::StartCrossShard(RouterLoop* loop, CrossShardJob job) {
     for (const uint64_t key : keys) args.PutU64(key);
     std::vector<uint8_t> bytes;
     server::EncodePrepare(prepare, &bytes);
-    loop->links[shard]->Send(loop->net.get(), bytes,
+    loop->links[shard]->Send(loop->net, bytes,
                              Expectation{Kind::kVote, false, gtid});
     txn.await[shard] = CrossShardTxn::Await::kVote;
   }
@@ -842,7 +789,7 @@ void ShardRouter::SendDecisions(RouterLoop* loop, CrossShardTxn* txn,
   for (const uint32_t shard : targets) {
     ShardLink* link = loop->links[shard].get();
     if (link->conn == nullptr) continue;
-    link->Send(loop->net.get(), bytes,
+    link->Send(loop->net, bytes,
                Expectation{Kind::kAck, false, txn->gtid});
     txn->await[shard] = CrossShardTxn::Await::kAck;
   }
@@ -955,27 +902,22 @@ uint64_t ShardRouter::RunCrossShardTimers(RouterLoop* loop, uint64_t now_ms) {
 
 void ShardRouter::ReplyCrossShard(RouterLoop* loop, const CrossShardJob& job,
                                   StatusCode status, Lsn commit_lsn) {
-  CrossShardResult result{job.session_id, job.ticket,
-                          EncodeReply(job.request_id, status, commit_lsn)};
-  if (job.loop_index == loop->index) {
-    CompleteResult(loop, std::move(result));
-    return;
-  }
-  // Loops outlive every wakeup: Stop() joins all loop threads before it
+  // Loops outlive every post: Stop() joins all loop threads before it
   // destroys any of them.
-  RouterLoop* target = loops_[job.loop_index].get();
-  {
-    MutexLock lock(&target->mu);
-    target->pending_results.push_back(std::move(result));
+  server::EventLoop* net = group_->LoopOf(job.session_id);
+  auto reply = [net, session_id = job.session_id, ticket = job.ticket,
+                encoded = EncodeReply(job.request_id, status,
+                                      commit_lsn)]() mutable {
+    server::Connection* conn = net->Find(session_id);
+    if (conn == nullptr) return;  // The session died mid-2PC.
+    conn->Complete(ticket, std::move(encoded));
+    net->FlushReplies(conn);
+  };
+  if (net == loop->net) {
+    reply();
+  } else {
+    net->Post(std::move(reply));
   }
-  target->net->Wakeup();
-}
-
-void ShardRouter::CompleteResult(RouterLoop* loop, CrossShardResult result) {
-  server::Connection* conn = loop->net->Find(result.session_id);
-  if (conn == nullptr) return;  // The session died mid-2PC.
-  conn->Complete(result.ticket, std::move(result.encoded));
-  loop->net->FlushReplies(conn);
 }
 
 }  // namespace shard

@@ -19,17 +19,20 @@
 /// each from the log scan; a participant that misses its vote deadline is
 /// aborted.
 ///
-/// Threading: N server::EventLoop threads (event_loop.h). Loop 0 owns the
-/// listener and round-robins accepted sockets; each loop owns its sessions
-/// plus one link per shard. Forwards staged in one read burst share one
-/// gather write per link, replies pair with the link's FIFO expectation
-/// deque, and a session's ticket reorder buffer keeps replies in order.
+/// Threading: one server::EventLoopGroup (event_loop.h) of N loops, the
+/// same group the transaction server runs on. The group's loop 0 owns the
+/// listener and deals accepted sessions round-robin; the router supplies
+/// each loop's hooks (RouterLoop). Each loop owns its sessions plus one
+/// link per shard. Forwards staged in one read burst share one gather
+/// write per link, replies pair with the link's FIFO expectation deque,
+/// and a session's ticket reorder buffer keeps replies in order.
 /// Links are their loop's outbound peers (event_loop.h): dialed, redialed
 /// with jittered backoff, and closed when a reply stalls mid-frame.
 ///
 /// Cross-shard 2PC is a per-gtid state machine on loop 0 over loop 0's
 /// links, so votes and acks pair with the same deque; other loops hand jobs
-/// over, and get replies back, through inbox + Wakeup. Deadlines run from
+/// over, and get replies back, through the group's Post() (a session id
+/// names its loop). Deadlines run from
 /// loop 0's timers: a missed vote closes the link, whose redial sweep
 /// presume-aborts the orphan. The decision log's durable callback wakes
 /// loop 0, which never blocks on it. In-doubt classification takes no
@@ -80,7 +83,7 @@ struct ShardRouterOptions {
   uint64_t crash_after_prepares_sent = 0;
   /// Event-loop backend (kAuto probes uring, falls back to epoll).
   io::IoBackendKind io_backend = io::IoBackendKind::kAuto;
-  /// Event-loop thread count; 0 = auto (min(4, cores/2), at least 1).
+  /// Event-loop thread count; 0 = auto (EventLoopGroup::DefaultLoopCount).
   int num_loops = 0;
   /// Cap on cross-shard transactions in 2PC at once (the name predates the
   /// event-loop coordinator); the excess waits in FIFO order. A prepared
@@ -144,7 +147,6 @@ class ShardRouter {
   struct RouterLoop;
   struct ShardLink;
   struct CrossShardJob;
-  struct CrossShardResult;
   struct CrossShardTxn;
 
   // --- Client sessions ----------------------------------------------------
@@ -197,7 +199,6 @@ class ShardRouter {
   /// Answers a cross-shard job on its session's loop.
   void ReplyCrossShard(RouterLoop* loop, const CrossShardJob& job,
                        StatusCode status, Lsn commit_lsn);
-  void CompleteResult(RouterLoop* loop, CrossShardResult result);
 
   ShardRouterOptions options_;
   ShardRouterStats stats_;
@@ -219,8 +220,9 @@ class ShardRouter {
   /// Set by loop 0 once stop_ is up and no transaction is in 2PC.
   bool xshard_drained_ GUARDED_BY(shards_mu_) = false;
 
+  /// The loops' hooks (index == loop index); the group runs them.
   std::vector<std::unique_ptr<RouterLoop>> loops_;
-  std::atomic<uint32_t> accept_rr_{0};
+  std::unique_ptr<server::EventLoopGroup> group_;
   /// Syscalls of backends already destroyed (accumulated in Stop()).
   std::atomic<uint64_t> io_syscalls_retired_{0};
 };

@@ -1,5 +1,7 @@
 #include "txn/engine.h"
 
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
 #include "cc/hstore.h"
@@ -148,7 +150,29 @@ Status Engine::TriggerCheckpoint(CheckpointStats* stats) {
   return checkpointer_->CheckpointNow(stats);
 }
 
+#ifndef NDEBUG
+namespace {
+/// Identifies the calling thread by the address of a thread-local.
+uintptr_t DebugThreadToken() {
+  static thread_local char token;
+  return reinterpret_cast<uintptr_t>(&token);
+}
+}  // namespace
+#endif
+
 void Engine::EnterTxnGate(int thread_id) {
+#ifndef NDEBUG
+  uintptr_t owner = 0;
+  if (!workers_[thread_id].owner.compare_exchange_strong(
+          owner, DebugThreadToken(), std::memory_order_acq_rel) &&
+      owner != DebugThreadToken()) {
+    std::fprintf(stderr,
+                 "engine thread id %d is inside a transaction on two "
+                 "threads at once\n",
+                 thread_id);
+    std::abort();
+  }
+#endif
   if (!txn_gate_enabled_) return;
   WorkerState& worker = workers_[thread_id];
   for (;;) {
@@ -167,6 +191,9 @@ void Engine::EnterTxnGate(int thread_id) {
 }
 
 void Engine::ExitTxnGate(int thread_id) {
+#ifndef NDEBUG
+  workers_[thread_id].owner.store(0, std::memory_order_release);
+#endif
   if (!txn_gate_enabled_) return;
   workers_[thread_id].in_txn.store(0, std::memory_order_seq_cst);
   if (gate_closed_.load(std::memory_order_seq_cst)) {

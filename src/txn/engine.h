@@ -326,6 +326,14 @@ class Engine {
     /// Commit/Abort gate exit. Paired with gate_closed_ via seq_cst so the
     /// checkpointer's drain and a worker's entry cannot both proceed.
     std::atomic<uint8_t> in_txn{0};
+#ifndef NDEBUG
+    /// Debug builds: the thread between Begin() and its Commit/Abort under
+    /// this id (0 = none). A second thread entering while it is set means
+    /// two threads share one TxnContext, which is a caller bug (for
+    /// example, a server loop running under a worker id it did not
+    /// borrow exclusively).
+    std::atomic<uintptr_t> owner{0};
+#endif
   };
 
   Status AppendCommitRecord(TxnContext* txn);

@@ -11,47 +11,8 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
-
+#include "counting_allocator.h"
 #include "workload/ycsb.h"
-
-namespace {
-std::atomic<uint64_t> g_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  void* p = std::malloc(size ? size : 1);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  void* p = nullptr;
-  if (posix_memalign(&p, static_cast<std::size_t>(align), size ? size : 1) !=
-      0) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace next700 {
 namespace {
@@ -74,11 +35,11 @@ uint64_t SteadyStateAllocations(CcScheme scheme) {
   for (int i = 0; i < 5000; ++i) {
     EXPECT_TRUE(workload.RunNextTxn(&engine, 0, &rng).ok());
   }
-  const uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  const uint64_t before = counting_allocator::AllocationCount();
   for (int i = 0; i < 5000; ++i) {
     EXPECT_TRUE(workload.RunNextTxn(&engine, 0, &rng).ok());
   }
-  return g_allocs.load(std::memory_order_relaxed) - before;
+  return counting_allocator::AllocationCount() - before;
 }
 
 TEST(AllocRegressionTest, SiloReadOnlyHotPathIsAllocationFree) {
@@ -92,11 +53,11 @@ TEST(AllocRegressionTest, MvtoReadOnlyHotPathIsAllocationFree) {
 // Sanity-check the shim itself: a vector growth must be visible, otherwise
 // the two tests above would pass vacuously.
 TEST(AllocRegressionTest, ShimCountsAllocations) {
-  const uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  const uint64_t before = counting_allocator::AllocationCount();
   std::vector<uint64_t>* v = new std::vector<uint64_t>();
   v->resize(1024);
   delete v;
-  EXPECT_GE(g_allocs.load(std::memory_order_relaxed) - before, 2u);
+  EXPECT_GE(counting_allocator::AllocationCount() - before, 2u);
 }
 
 }  // namespace

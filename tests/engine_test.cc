@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "workload/driver.h"
 #include "workload/ycsb.h"
 
@@ -151,6 +153,35 @@ TEST(EngineDeathTest, SiRejectsBatchedAllocator) {
 // MVTO serializes in timestamp order regardless of wall-clock interleaving,
 // so batched (non-monotone across threads) timestamps are fine — the GC
 // watermark is protected by the allocator's GcFloor protocol.
+// One engine thread id owns one TxnContext: two threads inside a
+// transaction under the same id would share it. Debug builds check this
+// in Begin (a server loop borrowing a worker's id is the caller to guard).
+TEST(EngineDeathTest, OneThreadIdInTwoTransactionsAtOnceAborts) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "the thread-id ownership check is a debug-build check";
+#else
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        EngineOptions options;
+        options.max_threads = 2;
+        Engine engine(options);
+        TxnContext* mine = engine.Begin(0, {});
+        std::thread other([&engine] { (void)engine.Begin(0, {}); });
+        other.join();
+        engine.Abort(mine);
+      },
+      "inside a transaction on two threads at once");
+  // Sequential reuse, across threads, is fine.
+  EngineOptions options;
+  options.max_threads = 1;
+  Engine engine(options);
+  engine.Abort(engine.Begin(0, {}));
+  std::thread next([&engine] { engine.Abort(engine.Begin(0, {})); });
+  next.join();
+#endif
+}
+
 TEST(EngineTest, MvtoRunsWithBatchedAllocator) {
   EngineOptions options;
   options.cc_scheme = CcScheme::kMvto;

@@ -112,8 +112,10 @@ struct PrimaryNode {
   std::unique_ptr<Server> server;
 };
 
+/// `loops` = 0 takes the server's automatic loop count.
 PrimaryNode StartPrimary(const std::string& tag,
-                         server::ReplAckMode ack_mode, uint16_t port = 0) {
+                         server::ReplAckMode ack_mode, uint16_t port = 0,
+                         int loops = 0) {
   PrimaryNode node;
   node.engine = std::make_unique<Engine>(NodeEngineOptions(TempLogDir(tag)));
   KvServiceOptions kv;
@@ -123,6 +125,7 @@ PrimaryNode StartPrimary(const std::string& tag,
   ServerOptions srv;
   srv.port = port;
   srv.num_workers = 2;
+  srv.num_loops = loops;
   srv.io_backend = g_io_backend;
   srv.repl_ack = ack_mode;
   node.server = std::make_unique<Server>(node.engine.get(), srv);
@@ -193,9 +196,23 @@ uint64_t CounterOf(const Response& response) {
   return counter;
 }
 
+void CatchUpAndServeSnapshotReads(int loops);
+void DegradeWhenLastReplicaLeaves(int loops);
+
+// Run on one primary loop and on two. With two, the client lands on loop 0
+// and the replica on loop 1, so the flusher's shipping wakeup has to find
+// the replica's loop.
 TEST_P(ReplTest, ReplicaCatchesUpAndServesSnapshotReads) {
-  PrimaryNode primary = StartPrimary("catchup_p",
-                                     server::ReplAckMode::kAsync);
+  for (const int loops : {1, 2}) {
+    SCOPED_TRACE("primary loops " + std::to_string(loops));
+    CatchUpAndServeSnapshotReads(loops);
+  }
+}
+
+void CatchUpAndServeSnapshotReads(int loops) {
+  const std::string tag = std::to_string(loops);
+  PrimaryNode primary = StartPrimary("catchup_p" + tag,
+                                     server::ReplAckMode::kAsync, 0, loops);
   Client client;
   ASSERT_TRUE(client.Connect("127.0.0.1", primary.server->port()).ok());
 
@@ -211,7 +228,8 @@ TEST_P(ReplTest, ReplicaCatchesUpAndServesSnapshotReads) {
     ++increments[key];
   }
 
-  ReplicaNode replica = StartReplica("catchup_r", primary.server->port());
+  ReplicaNode replica =
+      StartReplica("catchup_r" + tag, primary.server->port());
   LogManager* primary_log = primary.engine->log_manager();
   ASSERT_TRUE(WaitUntil([&] {
     return replica.applier->applied_lsn() >= primary_log->durable_lsn();
@@ -379,9 +397,19 @@ TEST_P(ReplTest, SemisyncAckedWorkSurvivesPromotion) {
   EXPECT_GT(promoted.log_manager()->appended_lsn(), before);
 }
 
+// With two primary loops, the replica's acks (loop 1) release the client's
+// held replies (loop 0).
 TEST_P(ReplTest, SemisyncDegradesWhenLastReplicaLeaves) {
-  PrimaryNode primary = StartPrimary("degrade_p",
-                                     server::ReplAckMode::kSemisync);
+  for (const int loops : {1, 2}) {
+    SCOPED_TRACE("primary loops " + std::to_string(loops));
+    DegradeWhenLastReplicaLeaves(loops);
+  }
+}
+
+void DegradeWhenLastReplicaLeaves(int loops) {
+  const std::string tag = std::to_string(loops);
+  PrimaryNode primary = StartPrimary(
+      "degrade_p" + tag, server::ReplAckMode::kSemisync, 0, loops);
   Client client;
   ASSERT_TRUE(client.Connect("127.0.0.1", primary.server->port()).ok());
 
@@ -392,7 +420,8 @@ TEST_P(ReplTest, SemisyncDegradesWhenLastReplicaLeaves) {
   ASSERT_EQ(response.status, StatusCode::kOk);
 
   {
-    ReplicaNode replica = StartReplica("degrade_r", primary.server->port());
+    ReplicaNode replica =
+        StartReplica("degrade_r" + tag, primary.server->port());
     ASSERT_TRUE(WaitUntil([&] {
       return primary.server->stats().repl_acks_received.load() > 0;
     }));

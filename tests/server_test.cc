@@ -9,6 +9,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <memory>
@@ -50,6 +51,16 @@ struct Service {
   std::unique_ptr<Engine> engine;
   std::unique_ptr<Server> server;
 };
+
+/// The loop counts the cases touching per-loop state run under: one loop,
+/// and a group of two, where a reply, a held reply, a read pause or a
+/// decision can cross loops. Connections are dealt round-robin from loop
+/// 0, so a case's second connection lands on loop 1.
+constexpr int kLoopCounts[] = {1, 2};
+
+std::string LoopTrace(int loops) {
+  return "num_loops=" + std::to_string(loops);
+}
 
 /// Log directories must be unique per test *instance*, not just per CC
 /// scheme: `ctest -j` runs the epoll and uring instantiations of the same
@@ -113,6 +124,10 @@ Request RmwRequest(uint64_t request_id, uint64_t key) {
   return request;
 }
 
+void ExpectOverloadAnswersResourceExhausted(int loops);
+void ExpectNoInlineRunBesideAParkedPrepare(int loops);
+void ExpectDecisionAckWaitsForDurableOutcome(int loops);
+
 TEST_P(ServerTest, GetReturnsRowPayload) {
   Service service = StartService(CcScheme::kOcc, LoggingKind::kNone);
   Client client;
@@ -124,25 +139,36 @@ TEST_P(ServerTest, GetReturnsRowPayload) {
 }
 
 TEST_P(ServerTest, PipelinedRepliesArriveInRequestOrder) {
-  Service service = StartService(CcScheme::kOcc, LoggingKind::kNone);
-  Client client;
-  ASSERT_TRUE(client.Connect("127.0.0.1", service.server->port()).ok());
+  for (const int loops : kLoopCounts) {
+    SCOPED_TRACE(LoopTrace(loops));
+    ServerOptions srv;
+    srv.num_loops = loops;
+    Service service = StartService(CcScheme::kOcc, LoggingKind::kNone, srv);
+    Client clients[2];
+    for (Client& client : clients) {
+      ASSERT_TRUE(client.Connect("127.0.0.1", service.server->port()).ok());
+    }
 
-  // A burst of pipelined requests, mixing reads and writes; replies must
-  // come back in exactly the order sent.
-  constexpr int kBurst = 200;
-  Rng rng(1);
-  for (int i = 0; i < kBurst; ++i) {
-    const uint64_t key = rng.NextUint64(kRecords);
-    const Request request = (i % 3 == 0) ? RmwRequest(1000 + i, key)
-                                         : GetRequest(1000 + i, key);
-    ASSERT_TRUE(client.Send(request).ok());
-  }
-  for (int i = 0; i < kBurst; ++i) {
-    Response response;
-    ASSERT_TRUE(client.Recv(&response).ok());
-    EXPECT_EQ(response.request_id, static_cast<uint64_t>(1000 + i));
-    EXPECT_EQ(response.status, StatusCode::kOk);
+    // A burst of pipelined requests per connection, mixing reads and
+    // writes; replies must come back in exactly the order sent.
+    constexpr int kBurst = 200;
+    Rng rng(1);
+    for (Client& client : clients) {
+      for (int i = 0; i < kBurst; ++i) {
+        const uint64_t key = rng.NextUint64(kRecords);
+        const Request request = (i % 3 == 0) ? RmwRequest(1000 + i, key)
+                                             : GetRequest(1000 + i, key);
+        ASSERT_TRUE(client.Send(request).ok());
+      }
+    }
+    for (Client& client : clients) {
+      for (int i = 0; i < kBurst; ++i) {
+        Response response;
+        ASSERT_TRUE(client.Recv(&response).ok());
+        EXPECT_EQ(response.request_id, static_cast<uint64_t>(1000 + i));
+        EXPECT_EQ(response.status, StatusCode::kOk);
+      }
+    }
   }
 }
 
@@ -167,28 +193,37 @@ TEST_P(ServerTest, CommittedRepliesAreDurableWhenValueLogged) {
   // A slow log device keeps every flush in flight well past the reply's
   // HoldUntilDurable check, so the hold path is taken by construction
   // rather than by winning a race with the flusher (which a sanitizer
-  // build's slower workers lose).
-  Service service = StartService(
-      CcScheme::kOcc, LoggingKind::kValue, {}, 2,
-      [](EngineOptions& eng) { eng.log_device_latency_us = 2000; });
-  LogManager* log = service.engine->log_manager();
-  ASSERT_NE(log, nullptr);
-  Client client;
-  ASSERT_TRUE(client.Connect("127.0.0.1", service.server->port()).ok());
+  // build's slower workers lose). With two loops the client sits on loop
+  // 1, so the flusher's release must wake that loop.
+  for (const int loops : kLoopCounts) {
+    SCOPED_TRACE(LoopTrace(loops));
+    ServerOptions srv;
+    srv.num_loops = loops;
+    Service service = StartService(
+        CcScheme::kOcc, LoggingKind::kValue, srv, 2,
+        [](EngineOptions& eng) { eng.log_device_latency_us = 2000; });
+    LogManager* log = service.engine->log_manager();
+    ASSERT_NE(log, nullptr);
+    Client idle;
+    ASSERT_TRUE(idle.Connect("127.0.0.1", service.server->port()).ok());
+    Client client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", service.server->port()).ok());
 
-  for (int i = 0; i < 100; ++i) {
-    Response response;
-    ASSERT_TRUE(
-        client.Call(RmwRequest(static_cast<uint64_t>(i), 5), &response)
-            .ok());
-    ASSERT_EQ(response.status, StatusCode::kOk);
-    // The group-commit contract: by the time the client holds the reply,
-    // the commit record is on disk. durable_lsn is read *after* receipt,
-    // so this would race only if the server released the reply early.
-    EXPECT_GT(response.commit_lsn, 0u);
-    EXPECT_LE(response.commit_lsn, log->durable_lsn());
+    for (int i = 0; i < 100; ++i) {
+      Response response;
+      ASSERT_TRUE(
+          client.Call(RmwRequest(static_cast<uint64_t>(i), 5), &response)
+              .ok());
+      ASSERT_EQ(response.status, StatusCode::kOk);
+      // The group-commit contract: by the time the client holds the
+      // reply, the commit record is on disk. durable_lsn is read *after*
+      // receipt, so this would race only if the server released the reply
+      // early.
+      EXPECT_GT(response.commit_lsn, 0u);
+      EXPECT_LE(response.commit_lsn, log->durable_lsn());
+    }
+    EXPECT_GT(service.server->stats().replies_held_durable.load(), 0u);
   }
-  EXPECT_GT(service.server->stats().replies_held_durable.load(), 0u);
 }
 
 TEST_P(ServerTest, GroupCommitDurabilityIsBackedByRealBarriers) {
@@ -316,9 +351,19 @@ TEST_P(ServerTest, GarbageBytesNeverCrashTheServer) {
   EXPECT_EQ(response.status, StatusCode::kOk);
 }
 
+// With two loops the budget is shared: one loop can pause on slots the
+// other holds, and must be resumed when that loop drains them.
 TEST_P(ServerTest, OverloadAnswersResourceExhaustedWithoutCrashing) {
+  for (const int loops : kLoopCounts) {
+    SCOPED_TRACE(LoopTrace(loops));
+    ExpectOverloadAnswersResourceExhausted(loops);
+  }
+}
+
+void ExpectOverloadAnswersResourceExhausted(int loops) {
   ServerOptions srv;
   srv.num_workers = 1;
+  srv.num_loops = loops;
   srv.max_inflight = 4;
   srv.queue_capacity = 2;
   Service service = StartService(CcScheme::kOcc, LoggingKind::kNone, srv);
@@ -495,13 +540,22 @@ TEST_P(ServerTest, DepthOneRequestsRunOnTheEventLoop) {
 }
 
 TEST_P(ServerTest, RequestsNeverRunInlineBesideAParkedPrepare) {
-  // A prepared branch holds its locks until a decision frame that only the
+  // A prepared branch holds its locks until a decision frame that only an
   // event loop can read. A get of a locked key must therefore wait on a
-  // worker: run on the loop, it would spin (OCC) or block (2PL) and the
-  // decision would never be read.
+  // worker: run on a loop, it would spin (OCC) or block (2PL) and the
+  // decision might never be read. With two loops the get arrives on the
+  // loop that did not admit the Prepare.
+  for (const int loops : kLoopCounts) {
+    SCOPED_TRACE(LoopTrace(loops));
+    ExpectNoInlineRunBesideAParkedPrepare(loops);
+  }
+}
+
+void ExpectNoInlineRunBesideAParkedPrepare(int loops) {
   for (const CcScheme scheme : {CcScheme::kOcc, CcScheme::kDlDetect}) {
     ServerOptions srv;
     srv.num_workers = 2;
+    srv.num_loops = loops;
     Service service = StartService(scheme, LoggingKind::kValue, srv);
     constexpr uint64_t kKey = 11;
     constexpr uint64_t kOther = 12;
@@ -572,8 +626,17 @@ TEST_P(ServerTest, RequestsNeverRunInlineBesideAParkedPrepare) {
 // running async commit (whose client replies never wait for the log). The
 // slow log device keeps the flush in flight past the ack's hold check.
 TEST_P(ServerTest, CommitDecisionAckWaitsForDurableOutcomeUnderAsyncCommit) {
+  for (const int loops : kLoopCounts) {
+    SCOPED_TRACE(LoopTrace(loops));
+    ExpectDecisionAckWaitsForDurableOutcome(loops);
+  }
+}
+
+void ExpectDecisionAckWaitsForDurableOutcome(int loops) {
+  ServerOptions srv;
+  srv.num_loops = loops;
   Service service = StartService(
-      CcScheme::kOcc, LoggingKind::kValue, {}, 2, [](EngineOptions& eng) {
+      CcScheme::kOcc, LoggingKind::kValue, srv, 2, [](EngineOptions& eng) {
         eng.sync_commit = false;
         eng.log_device_latency_us = 2000;
       });
@@ -653,10 +716,171 @@ TEST_P(ServerTest, PipelinedBurstFansOutToWorkers) {
 // the listener armed, so an idle server out of fds spun a core until one
 // freed. The shared event loop backs off and re-arms.
 TEST_P(ServerTest, AcceptBacksOffWhenFdsRunOut) {
-  fd_exhaustion::NofileLimit limit;
-  Service service = StartService(CcScheme::kOcc, LoggingKind::kNone);
-  fd_exhaustion::ExpectAcceptBacksOffWhenFdsRunOut(service.server->port(),
-                                                   service.server->stats());
+  for (const int loops : kLoopCounts) {
+    SCOPED_TRACE(LoopTrace(loops));
+    fd_exhaustion::NofileLimit limit;
+    ServerOptions srv;
+    srv.num_loops = loops;
+    Service service = StartService(CcScheme::kOcc, LoggingKind::kNone, srv);
+    fd_exhaustion::ExpectAcceptBacksOffWhenFdsRunOut(
+        service.server->port(), service.server->stats());
+  }
+}
+
+// The loop group splits connections evenly and each loop applies the
+// run-to-completion rule to its own: four depth-1 connections on two loops
+// over two workers put two connections on each loop, and both loops run
+// requests themselves.
+TEST_P(ServerTest, ConnectionsSpreadAcrossLoops) {
+  ServerOptions srv;
+  srv.num_workers = 2;
+  srv.num_loops = 2;
+  Service service = StartService(CcScheme::kOcc, LoggingKind::kValue, srv);
+  ASSERT_EQ(service.server->num_loops(), 2u);
+  Client clients[4];
+  for (Client& client : clients) {
+    ASSERT_TRUE(client.Connect("127.0.0.1", service.server->port()).ok());
+  }
+  uint64_t request_id = 0;
+  for (int round = 0; round < 50; ++round) {
+    for (size_t c = 0; c < 4; ++c) {
+      const uint64_t key = 100 + c;
+      Response response;
+      const uint64_t id = request_id++;
+      ASSERT_TRUE(clients[c]
+                      .Call(round % 2 == 0 ? RmwRequest(id, key)
+                                           : GetRequest(id, key),
+                            &response)
+                      .ok());
+      EXPECT_EQ(response.request_id, id);
+      ASSERT_EQ(response.status, StatusCode::kOk);
+      if (round % 2 == 1) {
+        EXPECT_EQ(CounterOf(response),
+                  key + static_cast<uint64_t>(round / 2 + 1));
+      }
+    }
+  }
+  for (size_t i = 0; i < 2; ++i) {
+    const Server::LoopCounts counts = service.server->loop_counts(i);
+    EXPECT_EQ(counts.accepted, 2u) << "loop " << i;
+    EXPECT_GT(counts.inline_runs, 0u) << "loop " << i;
+  }
+}
+
+// The lending rule under contention: two loops borrow the ids of two
+// workers while pipelined bursts keep the workers busy and a coordinator
+// prepares and commits branches on the same keys. Two threads under one
+// engine thread id would corrupt its TxnContext (and trip the debug
+// build's check in Engine::Begin); a prepared branch met by an inline run
+// would wedge a loop. At the end every counter must equal its seed plus
+// the committed increments.
+TEST_P(ServerTest, LoopsLendWorkerIdsExclusively) {
+  ServerOptions srv;
+  srv.num_workers = 2;
+  srv.num_loops = 2;
+  Service service = StartService(CcScheme::kOcc, LoggingKind::kValue, srv);
+  const uint16_t port = service.server->port();
+  constexpr uint64_t kKeys = 8;
+  constexpr int kRounds = 1000;
+  std::atomic<uint64_t> committed[kKeys] = {};
+  std::atomic<bool> failed{false};
+  auto fail = [&](const std::string& what) {
+    failed.store(true);
+    ADD_FAILURE() << what;
+  };
+
+  std::vector<std::thread> threads;
+  // Depth-1 clients: the inline path.
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {
+      Client client;
+      if (!client.Connect("127.0.0.1", port).ok()) return fail("connect");
+      for (int i = 0; i < kRounds && !failed.load(); ++i) {
+        const uint64_t key = static_cast<uint64_t>(i + t) % kKeys;
+        Response response;
+        const Status called =
+            client.Call(RmwRequest(static_cast<uint64_t>(i), key), &response);
+        if (!called.ok()) return fail("depth-1 call: " + called.ToString());
+        if (response.status == StatusCode::kOk) committed[key]++;
+      }
+    });
+  }
+  // A pipelined client: bursts the workers take.
+  threads.emplace_back([&] {
+    Client client;
+    if (!client.Connect("127.0.0.1", port).ok()) return fail("connect");
+    for (int burst = 0; burst < kRounds / 10 && !failed.load(); ++burst) {
+      for (int i = 0; i < 8; ++i) {
+        const uint64_t key = static_cast<uint64_t>(burst + i) % kKeys;
+        if (!client.Send(RmwRequest(key, key)).ok()) return fail("send");
+      }
+      for (int i = 0; i < 8; ++i) {
+        Response response;
+        if (!client.Recv(&response).ok()) return fail("pipelined recv");
+        if (response.status == StatusCode::kOk) {
+          committed[response.request_id]++;
+        }
+      }
+    }
+  });
+  // A coordinator: prepare, then commit, one branch at a time.
+  threads.emplace_back([&] {
+    Client coordinator;
+    if (!coordinator.Connect("127.0.0.1", port, PeerRole::kCoordinator)
+             .ok()) {
+      return fail("coordinator connect");
+    }
+    for (int i = 0; i < kRounds / 10 && !failed.load(); ++i) {
+      const uint64_t key = static_cast<uint64_t>(i) % kKeys;
+      Prepare prepare;
+      prepare.gtid = 9000 + static_cast<uint64_t>(i);
+      prepare.proc_id = kKvRmw;
+      WireWriter args(&prepare.args);
+      args.PutU16(1);
+      args.PutU64(key);
+      std::vector<uint8_t> wire;
+      EncodePrepare(prepare, &wire);
+      FrameType type;
+      std::vector<uint8_t> body;
+      if (!coordinator.SendRaw(wire.data(), wire.size()).ok() ||
+          !coordinator.RecvFrame(&type, &body).ok() ||
+          type != FrameType::kVote) {
+        return fail("prepare");
+      }
+      Vote vote;
+      if (!DecodeVote(body.data(), body.size(), &vote).ok()) {
+        return fail("vote");
+      }
+      const bool commit = vote.status == StatusCode::kOk;
+      if (!commit) continue;  // A no vote already aborted the branch.
+      wire.clear();
+      EncodeDecision(FrameType::kCommitDecision, Decision{prepare.gtid},
+                     &wire);
+      DecisionAck ack;
+      if (!coordinator.SendRaw(wire.data(), wire.size()).ok() ||
+          !coordinator.RecvFrame(&type, &body).ok() ||
+          type != FrameType::kDecisionAck ||
+          !DecodeDecisionAck(body.data(), body.size(), &ack).ok()) {
+        return fail("decision ack");
+      }
+      if (ack.status == StatusCode::kOk) committed[key]++;
+    }
+  });
+  for (std::thread& thread : threads) thread.join();
+  ASSERT_FALSE(failed.load());
+
+  Client reader;
+  ASSERT_TRUE(reader.Connect("127.0.0.1", port).ok());
+  for (uint64_t key = 0; key < kKeys; ++key) {
+    Response response;
+    ASSERT_TRUE(reader.Call(GetRequest(key, key), &response).ok());
+    ASSERT_EQ(response.status, StatusCode::kOk);
+    EXPECT_EQ(CounterOf(response), key + committed[key].load())
+        << "key " << key;
+  }
+  EXPECT_GT(service.server->loop_counts(0).inline_runs +
+                service.server->loop_counts(1).inline_runs,
+            0u);
 }
 
 TEST_P(ServerTest, StartFailsWhenTheListenerCannotBind) {

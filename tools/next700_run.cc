@@ -87,6 +87,8 @@ void Usage() {
       "(seconds=0: serve until SIGINT)\n"
       "  [--io-backend=auto|uring|epoll]  (network + log submission "
       "backend; uring fails loudly if unsupported)\n"
+      "  [--loops=N]  (event loops; 0 = auto: one per two CPUs, max 4, "
+      "at most --workers)\n"
       "  [--role=primary|replica|shard-router] [--primary-addr=HOST:PORT] "
       "[--repl-ack=async|semisync]\n"
       "  [--recover]  (bootstrap from checkpoint + log; promotion = "
@@ -99,8 +101,8 @@ void Usage() {
       "  --log-dir=DIR  (coordinator decision log)  [--host=ADDR] "
       "[--port=P]\n"
       "  [--partitions=N]  (the shards' *global* partition count)\n"
-      "  [--io-backend=auto|uring|epoll] [--router-loops=N]  (0 = auto: "
-      "one event loop per ~2 cores, max 4)\n"
+      "  [--io-backend=auto|uring|epoll] [--loops=N]  (0 = auto: "
+      "one event loop per two CPUs, max 4)\n"
       "  [--vote-timeout-ms=N] [--seconds=S]\n");
 }
 
@@ -184,6 +186,13 @@ io::IoBackendKind ParseIoBackend(Flags* flags) {
   return kind;
 }
 
+/// --loops, shared by the server and shard-router roles (0 = auto).
+int ParseLoops(Flags* flags) {
+  const int loops = static_cast<int>(flags->GetInt("loops", 0));
+  if (loops < 0) flags->Die("--loops must be >= 0");
+  return loops;
+}
+
 IndexKind ParseIndexKind(Flags* flags) {
   const std::string index = flags->GetString("index", "hash");
   if (index == "hash") return IndexKind::kHash;
@@ -217,8 +226,7 @@ int RunShardRouter(Flags* flags) {
   }
   opt.vote_timeout_ms = flags->GetInt("vote-timeout-ms", 5000);
   opt.io_backend = ParseIoBackend(flags);
-  opt.num_loops = flags->GetInt("router-loops", 0);
-  if (opt.num_loops < 0) flags->Die("--router-loops must be >= 0");
+  opt.num_loops = ParseLoops(flags);
   opt.crash_after_prepares_sent = static_cast<uint64_t>(
       flags->GetInt("crash-after-prepares-sent", 0));
   const double seconds = flags->GetDouble("seconds", 0.0);
@@ -309,6 +317,7 @@ int RunServe(Flags* flags) {
   srv.crash_after_prepares = static_cast<uint64_t>(
       flags->GetInt("crash-after-prepares", 0));
   srv.io_backend = ParseIoBackend(flags);
+  srv.num_loops = ParseLoops(flags);
   eng.log_io_backend = srv.io_backend;
 
   const std::string role = flags->GetString("role", "primary");
@@ -406,12 +415,13 @@ int RunServe(Flags* flags) {
     std::fprintf(stderr, "error: %s\n", started.ToString().c_str());
     return 1;
   }
-  std::printf("listening on %s:%u (io backend: %s, log device: %s)\n",
-              srv.host.c_str(), srv_instance.port(),
-              srv_instance.io_backend_name(),
-              engine.log_manager() != nullptr
-                  ? engine.log_manager()->io_backend_name()
-                  : "none");
+  std::printf(
+      "listening on %s:%u (io backend: %s, log device: %s, %zu loops)\n",
+      srv.host.c_str(), srv_instance.port(), srv_instance.io_backend_name(),
+      engine.log_manager() != nullptr
+          ? engine.log_manager()->io_backend_name()
+          : "none",
+      srv_instance.num_loops());
   std::fflush(stdout);
 
   std::signal(SIGINT, OnSignal);
